@@ -33,5 +33,6 @@ from .gibbs import (BogoliubovFrame, GibbsCoefficients, PositionForm,
                     reduced_hamiltonian)
 from .thermo import (ThermoPoint, exact_point, heat_capacity_exact,
                      heat_capacity_incomplete, internal_energy_hamiltonian,
-                     internal_energy_partition, naive_heat_capacity,
-                     naive_internal_energy, reduced_hamiltonian_at, sweep)
+                     internal_energy_partition, naive_curves,
+                     naive_heat_capacity, naive_internal_energy,
+                     reduced_hamiltonian_at, sweep)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -23,7 +24,7 @@ from .gibbs import extended_bose_einstein, reduced_hamiltonian
 from .spectral import ModeList, SpectralConfig, discretize
 from .thermo import (ThermoPoint, heat_capacity_exact,
                      heat_capacity_incomplete, internal_energy_hamiltonian,
-                     internal_energy_partition, naive_heat_capacity,
+                     internal_energy_partition, naive_curves,
                      reduced_hamiltonian_at, sweep)
 
 FIGURE_IDS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5")
@@ -125,6 +126,11 @@ def _coerce(key: str, value):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    for key in sorted(_FLOAT_KEYS | _GRID_KEYS):
+        values = getattr(cfg, key)
+        if not all(math.isfinite(v) for v in
+                   (values if key in _GRID_KEYS else (values,))):
+            raise ConfigError(key, "values must be finite")
     if cfg.gamma < 0:
         raise ConfigError("gamma", "coupling strength must be >= 0")
     if cfg.cutoff <= 0:
@@ -357,15 +363,17 @@ def _figure_5(cfg: RunConfig) -> FigureDataset:
             h, h_err = None, type(exc).__name__
         else:
             h_err = ""
-        for temp in temps:
-            try:
-                c_naive = naive_heat_capacity(modes, 1.0 / temp, cfg.counterterm)
-                c_exact = (heat_capacity_exact(h.eigenfrequency, temp)
-                           if h is not None else float("nan"))
-                rows.append([temp, gamma, c_naive, c_exact, h_err])
-            except QbmError as exc:
-                rows.append([temp, gamma, float("nan"), float("nan"),
-                             type(exc).__name__])
+        try:
+            c_naive = naive_curves(modes, [1.0 / t for t in temps],
+                                   cfg.counterterm)[1]
+        except QbmError as exc:
+            rows += [[temp, gamma, float("nan"), float("nan"),
+                      type(exc).__name__] for temp in temps]
+            continue
+        for temp, c in zip(temps, c_naive):
+            c_exact = (heat_capacity_exact(h.eigenfrequency, temp)
+                       if h is not None else float("nan"))
+            rows.append([temp, gamma, c, c_exact, h_err])
     return FigureDataset("5", ["T", "gamma", "C_naive", "C_exact", "error"],
                          rows, _meta(cfg, k_c=cfg.k_c, omega_max=cfg.omega_max))
 
@@ -382,8 +390,13 @@ def oracle_compare(cfg: RunConfig, gammas=(0.0, 0.5),
         scfg = cfg.spectral(gamma)
         for temp in temperatures:
             beta = 1.0 / temp
-            m_cont = solve_moments(scfg, beta, method=cfg.method)
-            z_cont = reduced_partition(m_cont)
+            try:
+                m_cont = solve_moments(scfg, beta, method=cfg.method)
+                z_cont = reduced_partition(m_cont)
+            except QbmError as exc:  # flags every rung of this (gamma, T)
+                rows += [[gamma, temp, k_c, float("nan"), float("nan"),
+                          float("nan"), type(exc).__name__] for k_c in ladder]
+                continue
             for k_c in ladder:
                 try:
                     omega_max = cfg.omega_max * k_c / ladder[0]

@@ -132,14 +132,16 @@ def bogoliubov(h: ReducedHamiltonian) -> BogoliubovFrame:
     The phase of u follows the conjugate of the pairing; the phase of v is
     fixed by u* v = pairing/(2 eigenfrequency), which is what diagonalizes
     the position-momentum quadratic form (and leaves the printed moduli
-    sqrt((omega +- wbar)/(2 wbar)) unchanged).  The pairing -> 0 limit is
-    (u, v) = (1, 0) by convention.
+    sqrt((omega +- wbar)/(2 wbar)) unchanged).  Both moduli are written
+    through omega + wbar, since omega - wbar = |pairing|^2/(omega + wbar)
+    cancels at weak pairing.  The pairing -> 0 limit is (u, v) = (1, 0) by
+    convention.
     """
     wbar = h.eigenfrequency
     delta = h.pairing
     if abs(delta) == 0:
         return BogoliubovFrame(u=1.0 + 0j, v=0.0 + 0j, eigenfrequency=wbar)
-    u = np.conj(delta) / np.sqrt(2 * wbar * (h.omega - wbar))
+    u = np.conj(delta) / abs(delta) * np.sqrt((h.omega + wbar) / (2 * wbar))
     v = abs(delta) / np.sqrt(2 * wbar * (h.omega + wbar))
     return BogoliubovFrame(u=complex(u), v=complex(v), eigenfrequency=wbar)
 

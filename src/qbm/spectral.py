@@ -10,6 +10,7 @@ where ``gamma`` is the dimensionless coupling strength and ``wc`` the cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,10 +39,11 @@ class SpectralConfig:
     counterterm: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise InvalidGrid(f"coupling strength must be >= 0, got {self.gamma}")
-        if self.cutoff <= 0:
-            raise InvalidGrid(f"cutoff must be > 0, got {self.cutoff}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise InvalidGrid(
+                f"coupling strength must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise InvalidGrid(f"cutoff must be finite and > 0, got {self.cutoff}")
 
     @property
     def counterterm_strength(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import solve_moments
-from .errors import InvalidGrid, UnstableReducedPotential
+from .errors import InvalidGrid, QbmError, UnstableReducedPotential
 from .finite import normal_mode_frequencies
 from .gibbs import ReducedHamiltonian, extended_bose_einstein, reduced_hamiltonian
 from .spectral import OMEGA_S, ModeList, SpectralConfig
@@ -106,18 +106,31 @@ def _mode_csch2_sum(freqs: np.ndarray, beta: float) -> float:
     return float(np.sum(val))
 
 
+def naive_curves(modes: ModeList, betas,
+                 counterterm: bool = False) -> tuple[list[float], list[float]]:
+    """Naive U and C at each beta from one normal-mode decomposition.
+
+    U comes from Z_S = Z_tot/Z_E as per-mode coth sums of system-plus-bath
+    minus bath; C is its analytic temperature derivative.
+    """
+    freqs = normal_mode_frequencies(modes, counterterm)
+    bath = modes.frequencies
+    energies = [_mode_coth_sum(freqs, b) - _mode_coth_sum(bath, b) for b in betas]
+    capacities = [_mode_csch2_sum(freqs, b) - _mode_csch2_sum(bath, b)
+                  for b in betas]
+    return energies, capacities
+
+
 def naive_internal_energy(modes: ModeList, beta: float,
                           counterterm: bool = False) -> float:
-    """U from Z_S = Z_tot/Z_E: per-mode coth sums of system-plus-bath minus bath."""
-    freqs = normal_mode_frequencies(modes, counterterm)
-    return _mode_coth_sum(freqs, beta) - _mode_coth_sum(modes.frequencies, beta)
+    """U from Z_S = Z_tot/Z_E at one beta; see ``naive_curves``."""
+    return naive_curves(modes, [beta], counterterm)[0][0]
 
 
 def naive_heat_capacity(modes: ModeList, beta: float,
                         counterterm: bool = False) -> float:
-    """Analytic temperature derivative of the naive internal energy."""
-    freqs = normal_mode_frequencies(modes, counterterm)
-    return _mode_csch2_sum(freqs, beta) - _mode_csch2_sum(modes.frequencies, beta)
+    """Analytic temperature derivative of the naive internal energy at one beta."""
+    return naive_curves(modes, [beta], counterterm)[1][0]
 
 
 def reduced_hamiltonian_at(cfg: SpectralConfig, t_ref: float,
@@ -166,46 +179,52 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
     if axis not in ("temperature", "coupling"):
         raise InvalidGrid(f"unknown sweep axis {axis!r}")
 
-    h_cache: ReducedHamiltonian | None = None
-    if axis == "temperature" and pipeline != "naive":
-        try:
-            h_cache = reduced_hamiltonian_at(cfg, t_ref, method=method)
-        except Exception:
-            h_cache = None  # per-point evaluation will record the failure
-
-    points: list[ThermoPoint] = []
-    for val in grid:
-        if axis == "temperature":
-            temperature, point_cfg = float(val), cfg
-        else:
-            temperature = fixed_temperature
-            point_cfg = SpectralConfig(gamma=float(val), cutoff=cfg.cutoff,
-                                       counterterm=cfg.counterterm)
-        try:
-            points.append(_sweep_point(point_cfg, temperature, pipeline,
-                                       t_ref, modes, method, h_cache))
-        except Exception as exc:  # collected per point, not fatal
-            points.append(ThermoPoint(temperature=temperature,
-                                      coupling=point_cfg.gamma,
-                                      internal_energy=float("nan"),
-                                      heat_capacity=float("nan"),
-                                      z_reduced=float("nan"),
-                                      error=f"{type(exc).__name__}: {exc}"))
-    return points
-
-
-def _sweep_point(cfg: SpectralConfig, temperature: float, pipeline: str,
-                 t_ref: float, modes: ModeList | None, method: str,
-                 h_cache: ReducedHamiltonian | None) -> ThermoPoint:
+    if axis == "temperature":
+        temps, couplings = [float(t) for t in grid], [cfg.gamma] * len(grid)
+    else:
+        temps, couplings = [fixed_temperature] * len(grid), [float(g) for g in grid]
     if pipeline == "naive":
         if modes is None:
             raise InvalidGrid("naive pipeline requires a ModeList")
-        beta = 1.0 / temperature
-        u = naive_internal_energy(modes, beta, cfg.counterterm)
-        c = naive_heat_capacity(modes, beta, cfg.counterterm)
-        return ThermoPoint(temperature=temperature, coupling=cfg.gamma,
-                           internal_energy=u, heat_capacity=c,
-                           z_reduced=float("nan"))
+        try:
+            energies, capacities = naive_curves(
+                modes, [1.0 / t for t in temps], cfg.counterterm)
+        except QbmError as exc:  # one decomposition serves every point
+            return [_failed_point(t, g, exc) for t, g in zip(temps, couplings)]
+        return [ThermoPoint(temperature=t, coupling=g, internal_energy=u,
+                            heat_capacity=c, z_reduced=float("nan"))
+                for t, g, u, c in zip(temps, couplings, energies, capacities)]
+
+    h_cache: ReducedHamiltonian | None = None
+    if axis == "temperature":
+        try:
+            h_cache = reduced_hamiltonian_at(cfg, t_ref, method=method)
+        except QbmError:
+            h_cache = None  # per-point evaluation will record the failure
+
+    points: list[ThermoPoint] = []
+    for temperature, coupling in zip(temps, couplings):
+        point_cfg = cfg if axis == "temperature" else SpectralConfig(
+            gamma=coupling, cutoff=cfg.cutoff, counterterm=cfg.counterterm)
+        try:
+            points.append(_sweep_point(point_cfg, temperature, pipeline,
+                                       t_ref, method, h_cache))
+        except QbmError as exc:  # collected per point, not fatal
+            points.append(_failed_point(temperature, coupling, exc))
+    return points
+
+
+def _failed_point(temperature: float, coupling: float,
+                  exc: QbmError) -> ThermoPoint:
+    return ThermoPoint(temperature=temperature, coupling=coupling,
+                       internal_energy=float("nan"), heat_capacity=float("nan"),
+                       z_reduced=float("nan"),
+                       error=f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_point(cfg: SpectralConfig, temperature: float, pipeline: str,
+                 t_ref: float, method: str,
+                 h_cache: ReducedHamiltonian | None) -> ThermoPoint:
     h = h_cache if h_cache is not None else \
         reduced_hamiltonian_at(cfg, t_ref, method=method)
     if pipeline == "exact":

@@ -133,11 +133,26 @@ class TestOracleCompare:
             else:
                 assert errs[0] > errs[1] > errs[2]
 
+    def test_continuum_failure_flags_rows(self):
+        cfg = parse_config(overrides={"timestamp": False,
+                                      "counterterm": False})
+        ds = oracle_compare(cfg, gammas=(0.5,), temperatures=(1.0,),
+                            ladder=(10, 20))
+        assert [row[-1] for row in ds.rows] == ["InvertedPotential"] * 2 + ["fock"]
+
 
 class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["--gamma", "-2", "state"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--gamma", "inf"), ("--temperature", "inf"),
+        ("--temperature", "nan"), ("--cutoff", "inf"), ("--t-ref", "nan"),
+        ("--temperatures", "0.5,inf"), ("--gammas", "nan")])
+    def test_non_finite_input_exit_code(self, capsys, flag, value):
+        assert main([flag, value, "state"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_state_json(self, capsys):
         assert main(["--gamma", "0.5", "--temperature", "10",

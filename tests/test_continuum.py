@@ -1,5 +1,6 @@
 """Continuum solver: kernel matrix, pole search, inversion methods, moments."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,11 +127,87 @@ class TestMatsubaraMoments:
         m = matsubara_moments(cfg, 1.0).validate()
         assert m.occupation > 0
 
-    def test_sum_truncation_converged(self):
-        a = matsubara_moments(CFG, 2.0)
-        b = matsubara_moments(CFG, 2.0, n_terms=400000)
-        assert a.occupation == pytest.approx(b.occupation, rel=1e-11)
-        assert a.squeezing.real == pytest.approx(b.squeezing.real, rel=1e-10)
+
+def _series_moments(gamma, cutoff, beta, counterterm=True):
+    """(n, s) from the Matsubara series themselves, summed by mpmath at 30 digits.
+
+    The terms are G(nu_m) = (nu + wc) / P(nu) and (a1 nu + a0) / P(nu) at
+    nu_m = 2 pi m / beta; Euler-Maclaurin summation (``nsum`` method "e")
+    handles the slow 1/m^2 tails whose scale is set by beta * cutoff.
+    """
+    with mpmath.workdps(30):
+        g, wc, b = (mpmath.mpf(gamma), mpmath.mpf(cutoff), mpmath.mpf(beta))
+        a1, a0 = ((1 + g * wc, wc) if counterterm
+                  else (mpmath.mpf(1), wc * (1 - g * wc)))
+        step = 2 * mpmath.pi / b
+
+        def series(numerator):
+            def term(m):
+                nu = step * m
+                return numerator(nu) / (((nu + wc) * nu + a1) * nu + a0)
+            return mpmath.nsum(term, [1, mpmath.inf], method="e")
+
+        x2 = (wc / a0 + 2 * series(lambda nu: nu + wc)) / b
+        p2 = (1 + 2 * series(lambda nu: a1 * nu + a0)) / b
+        return float((x2 + p2) / 2 - mpmath.mpf(1) / 2), float((x2 - p2) / 2)
+
+
+def _double_root_gammas(cutoff):
+    """Couplings in (0, 10] where the cubic P has a double root (30 digits)."""
+    def disc(g):
+        a1, a0 = 1 + g * cutoff, cutoff
+        return (18 * cutoff * a1 * a0 - 4 * cutoff**3 * a0
+                + cutoff**2 * a1**2 - 4 * a1**3 - 27 * a0**2)
+
+    with mpmath.workdps(30):
+        grid = [mpmath.mpf(10) * k / 2000 for k in range(1, 2001)]
+        vals = [disc(g) for g in grid]
+        return [float(mpmath.findroot(disc, (lo, hi), solver="anderson"))
+                for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:])
+                if v0 * v1 < 0]
+
+
+def _oracle_cases():
+    cases = [(g, wc, t, True) for g in (0.0, 1e-3, 0.5, 10.0)
+             for wc in (1e-3, 1.0, 20.0, 1e5) for t in (1e-4, 1.0, 20.0)]
+    cases += [(gw / wc, wc, t, False) for gw in (0.5, 0.99)
+              for wc in (1e-3, 20.0) for t in (1e-4, 1.0, 20.0)]
+    return cases
+
+
+class TestMatsubaraOracle:
+    """Closed form against the 30-digit series: 1e-10 relative, 1e-13 (|n|+1) floor."""
+
+    @staticmethod
+    def _assert_close(gamma, cutoff, temperature, counterterm=True):
+        cfg = SpectralConfig(gamma, cutoff, counterterm=counterterm)
+        m = matsubara_moments(cfg, 1.0 / temperature)
+        ref_n, ref_s = _series_moments(gamma, cutoff, 1.0 / temperature,
+                                       counterterm)
+        floor = 1e-13 * (abs(ref_n) + 1)
+        assert m.squeezing.imag == 0
+        assert abs(m.occupation - ref_n) <= 1e-10 * abs(ref_n) + floor
+        assert abs(m.squeezing.real - ref_s) <= 1e-10 * abs(ref_s) + floor
+
+    @pytest.mark.parametrize("gamma,cutoff,temperature,counterterm",
+                             _oracle_cases())
+    def test_matches_series(self, gamma, cutoff, temperature, counterterm):
+        self._assert_close(gamma, cutoff, temperature, counterterm)
+
+    @pytest.mark.parametrize("cutoff", [10.0, 1e3])
+    def test_double_root_curve(self, cutoff):
+        # the partial-fraction residues of the close pair diverge here
+        for g in _double_root_gammas(cutoff):
+            for dg in (0.0, 1e-9, -1e-9):
+                for temperature in (1e-3, 1.0):
+                    self._assert_close(g + dg, cutoff, temperature)
+
+    def test_triple_root(self):
+        # all three roots of P meet at -sqrt(3) for cutoff sqrt(27), gamma 8/sqrt(27)
+        cutoff = np.sqrt(27.0)
+        for dg in (0.0, 1e-6):
+            for temperature in (1e-3, 1.0, 20.0):
+                self._assert_close(8 / cutoff + dg, cutoff, temperature)
 
 
 class TestSolveKernel:

@@ -95,6 +95,16 @@ class TestBogoliubov:
             assert abs(frame.u)**2 - abs(frame.v)**2 == pytest.approx(1.0,
                                                                       abs=1e-10)
 
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_normalization_weak_pairing(self, ratio):
+        # omega - wbar = |pairing|^2 / (omega + wbar) is far below rounding
+        # of omega here, so it must not be formed as a difference
+        for omega in (0.3, 1.0, 7.0):
+            pairing = ratio * omega * np.exp(0.4j)
+            frame = bogoliubov(ReducedHamiltonian(omega=omega, pairing=pairing))
+            assert abs(abs(frame.u)**2 - abs(frame.v)**2 - 1.0) <= 1e-12
+            assert np.angle(frame.u) == pytest.approx(-0.4, abs=1e-12)
+
     def test_phase_covariance(self):
         # rotating the pairing phase rotates arg(u) oppositely, leaves the
         # moduli and the eigenfrequency unchanged, and preserves the

@@ -18,6 +18,15 @@ def trapezoid_oracle(f, lo, hi, panels=10**6):
     return np.trapezoid(f(x), x)
 
 
+class TestSpectralConfig:
+    @pytest.mark.parametrize("gamma,cutoff", [
+        (float("nan"), 20.0), (float("inf"), 20.0), (-0.1, 20.0),
+        (0.5, float("nan")), (0.5, float("inf")), (0.5, 0.0)])
+    def test_rejects_invalid(self, gamma, cutoff):
+        with pytest.raises(InvalidGrid):
+            SpectralConfig(gamma, cutoff)
+
+
 class TestSpectralDensity:
     def test_zero_coupling(self):
         assert eval_spectral_density(SpectralConfig(0.0, 20.0), 3.7) == 0.0

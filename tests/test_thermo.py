@@ -8,6 +8,7 @@ from qbm import (InvalidGrid, SpectralConfig, discretize, exact_point,
                  heat_capacity_incomplete, internal_energy_hamiltonian,
                  internal_energy_partition, naive_heat_capacity,
                  naive_internal_energy, reduced_hamiltonian_at, sweep)
+from qbm import thermo
 from qbm.gibbs import ReducedHamiltonian
 from qbm.spectral import ModeList
 
@@ -167,6 +168,42 @@ class TestSweep:
         points = sweep("temperature", [1.0, 2.0], cfg, pipeline="exact")
         assert all(p.error is not None for p in points)
         assert all(np.isnan(p.heat_capacity) for p in points)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only QbmError becomes a row flag; anything else is a bug and raises
+        def broken(*args, **kwargs):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(thermo, "exact_point", broken)
+        with pytest.raises(TypeError):
+            sweep("temperature", [1.0, 2.0], CFG, pipeline="exact")
+        monkeypatch.setattr(thermo, "reduced_hamiltonian_at", broken)
+        with pytest.raises(TypeError):
+            sweep("temperature", [1.0, 2.0], CFG, pipeline="exact")
+        monkeypatch.setattr(thermo, "normal_mode_frequencies", broken)
+        with pytest.raises(TypeError):
+            sweep("temperature", [1.0, 2.0], CFG, pipeline="naive",
+                  modes=discretize(CFG, 20, 100.0))
+
+    def test_naive_sweep_matches_pointwise(self):
+        modes = discretize(CFG, 60, 100.0)
+        temps = [0.1, 0.5, 2.0]
+        points = sweep("temperature", temps, CFG, pipeline="naive",
+                       modes=modes)
+        for t, p in zip(temps, points):
+            assert p.error is None
+            assert p.internal_energy == naive_internal_energy(
+                modes, 1 / t, counterterm=True)
+            assert p.heat_capacity == naive_heat_capacity(
+                modes, 1 / t, counterterm=True)
+
+    def test_naive_sweep_errors_collected(self):
+        cfg = SpectralConfig(0.5, 20.0, counterterm=False)
+        points = sweep("temperature", [1.0, 2.0], cfg, pipeline="naive",
+                       modes=discretize(cfg, 40, 200.0))
+        assert all(p.error.startswith("InvertedPotential") for p in points)
+        with pytest.raises(InvalidGrid):
+            sweep("temperature", [1.0], CFG, pipeline="naive")  # no ModeList
 
     def test_grid_validation(self):
         with pytest.raises(InvalidGrid):
