@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (BranchAmbiguity, BranchCut, ConfigError, DivergentKernel,
                      Instability, InvalidGrid, InvertedPotential,
                      NoConvergence, NonNormalizable, NonTraceable, PoleOnAxis,
-                     QbmError, SingularBlock, TruncationError,
+                     QbmError, TruncationError,
                      UnstableReducedPotential, ZeroTemperature)
 from .spectral import (OMEGA_S, ModeList, SpectralConfig, default_omega_max,
                        discretize, eval_spectral_density, kernel_g,

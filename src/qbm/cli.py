@@ -566,8 +566,10 @@ def _cmd_thermo(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig, axis: str, pipeline: str) -> int:
     grid = cfg.temperatures if axis == "temperature" else cfg.gammas
     modes = None
-    if pipeline == "naive":
+    if pipeline == "naive" and axis == "temperature":
         modes = discretize(cfg.spectral(), cfg.k_c, cfg.omega_max)
+    elif pipeline == "naive":
+        modes = [discretize(cfg.spectral(g), cfg.k_c, cfg.omega_max) for g in grid]
     points = sweep(axis, grid, cfg.spectral(), pipeline=pipeline,
                    t_ref=cfg.t_ref, fixed_temperature=cfg.temperature,
                    modes=modes, method=cfg.method)

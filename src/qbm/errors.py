@@ -33,12 +33,8 @@ class NonNormalizable(QbmError):
     """Gaussian kernel or moments violate normalizability."""
 
 
-class SingularBlock(QbmError):
-    """Block of the Gaussian exponential is numerically singular."""
-
-
 class NonTraceable(QbmError):
-    """Partial-trace Schur complement does not exist."""
+    """Bath block of the Gaussian partial trace is singular or not positive."""
 
 
 class InvertedPotential(QbmError):

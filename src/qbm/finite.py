@@ -1,9 +1,9 @@
 """Ground-truth computations for a bath discretized into a finite mode list.
 
 The total Gibbs state of system plus k_c bath modes is Gaussian; its
-coherent-state kernel blocks (Omega, Pi) follow from exponentiating the
-quadratic generator in a faithful matrix representation, and the reduced
-kernel from an exact Gaussian partial trace.  A truncated Fock-space
+coherent-state kernel blocks (Omega, Pi) follow in real arithmetic from the
+normal-mode Bogoliubov transform of the quadratic Hamiltonian, and the
+reduced kernel from an exact Gaussian partial trace.  A truncated Fock-space
 diagonalization provides a brute-force cross-check for one or two modes.
 """
 
@@ -12,26 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .errors import (InvalidGrid, InvertedPotential, NonTraceable,
-                     SingularBlock, TruncationError, ZeroTemperature)
+                     TruncationError, ZeroTemperature)
 from .spectral import OMEGA_S, ModeList
 from .state import GaussianKernel, Moments, kernel_to_moments
 
-# beta * Omega_max beyond which the plain matrix exponential is too graded
-# (the lower-right block's condition number grows like exp(beta * Omega_max))
-_EXPM_GRADE_LIMIT = 30.0
+# reciprocal 1-norm condition estimate below which a block counts as singular
+_RCOND_FLOOR = 1e-14
+# Boltzmann factors exp(-beta Omega_j) below this are set to zero: the terms
+# they scale are below 1e-100 in size, and their products would otherwise
+# fill the matrix products with subnormal numbers, which run several times
+# slower
+_BOLTZMANN_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
 class Generator:
     """Half-generator blocks (D, R) of the total Gibbs Gaussian.
 
-    D and R follow the hand-construction convention with prefactor -beta/2;
-    the matrix actually exponentiated by ``total_gaussian`` is twice the
-    assembled block matrix (fixed by the single-free-mode limit, where the
-    kernel must come out exp(-beta*omega)).
+    D and R follow the hand-construction convention with prefactor -beta/2:
+    the Gibbs exponent in a faithful matrix representation is twice the block
+    matrix [[D, R], [-R_hat, -D_tilde]].  ``total_gaussian`` does not
+    exponentiate it; it evaluates the same state from the normal modes of
+    ``modes`` at ``beta``.
     """
 
     d: np.ndarray
@@ -43,22 +48,10 @@ class Generator:
 
 @dataclass(frozen=True)
 class TotalGaussian:
-    """Kernel blocks of the total Gaussian state, system index first."""
+    """Real kernel blocks of the total Gaussian state, system index first."""
 
     omega: np.ndarray
     pi: np.ndarray
-
-
-def _reflect_minor(a: np.ndarray) -> np.ndarray:
-    """Reflection in the minor diagonal: out[i, j] = a[n-1-j, n-1-i]."""
-    n = a.shape[0]
-    rev = np.arange(n - 1, -1, -1)
-    return a[np.ix_(rev, rev)].T
-
-
-def _reflect_major(a: np.ndarray) -> np.ndarray:
-    """Reflection in the major diagonal (transpose)."""
-    return a.T
 
 
 def build_generator(modes: ModeList, beta: float,
@@ -88,106 +81,95 @@ def build_generator(modes: ModeList, beta: float,
                      counterterm=counterterm)
 
 
-def total_gaussian(gen: Generator, backend: str = "auto") -> TotalGaussian:
-    """Exponentiate the generator and extract the kernel blocks (Omega, Pi).
+def total_gaussian(gen: Generator) -> TotalGaussian:
+    """Kernel blocks (Omega, Pi) of the total Gibbs state of ``gen``.
 
-    ``expm`` assembles [[D, R], [-R_hat, -D_tilde]], exponentiates twice that
-    matrix and undoes the index reflections.  ``normal-mode`` evaluates the
-    same blocks through the exact normal-mode factorization, which stays
-    well-conditioned when beta * Omega_max is large and the exponential's
-    grading would overflow double precision.
+    The normal modes c_j = At[j, i] a_i + Bt[j, i] a_i^dag with frequencies
+    Omega_j diagonalize the quadratic Hamiltonian, so the blocks follow from
+    the real Bogoliubov matrices (At, Bt) and exp(-beta Omega_j) without a
+    matrix exponential; they stay well-conditioned at any beta * Omega_max.
+    At^-1 comes from one LU factorization; At needs no guard, because
+    At At^T - Bt Bt^T = 1 keeps its singular values >= 1.
     """
-    if backend == "auto":
-        wmax = float(np.max(normal_mode_frequencies(gen.modes, gen.counterterm)))
-        backend = "expm" if gen.beta * wmax < _EXPM_GRADE_LIMIT else "normal-mode"
-    if backend == "expm":
-        return _total_gaussian_expm(gen)
-    if backend == "normal-mode":
-        return _total_gaussian_normal_mode(gen)
-    raise InvalidGrid(f"unknown total_gaussian backend {backend!r}")
-
-
-def _total_gaussian_expm(gen: Generator) -> TotalGaussian:
-    n = gen.d.shape[0]
-    block = np.block([[gen.d, gen.r],
-                      [-_reflect_major(gen.r), -_reflect_minor(gen.d)]])
-    e = expm(2.0 * block)
-    e12, e22 = e[:n, n:], e[n:, n:]
-    if np.linalg.cond(e22) > 1e14:
-        raise SingularBlock("lower-right block of the exponential is singular")
-    omega_tilde = np.linalg.inv(e22)
-    pi_raw = e12 @ omega_tilde
-    omega = _reflect_minor(omega_tilde)
-    pi = pi_raw[:, ::-1]  # undo the reversed column order of the second group
-    return TotalGaussian(omega=omega, pi=pi)
-
-
-def _total_gaussian_normal_mode(gen: Generator) -> TotalGaussian:
     modes, beta = gen.modes, gen.beta
-    kc = len(modes)
-    lam = modes.counterterm_strength if gen.counterterm else 0.0
+    n = len(modes) + 1
     freqs = np.concatenate([[OMEGA_S], modes.frequencies])
-    k = _stiffness(modes, gen.counterterm)
-    ev, orth = np.linalg.eigh(k)
-    wj = np.sqrt(ev.astype(complex))
+    ev, orth = np.linalg.eigh(_stiffness(modes, gen.counterterm))
+    wj = _stable_frequencies(ev)
     rt = np.sqrt(wj[None, :] / freqs[:, None])
-    at = (orth * (0.5 * (rt + 1.0 / rt))).T   # c_j = At[j,i] a_i + Bt[j,i] a_i^dag
+    at = (orth * (0.5 * (rt + 1.0 / rt))).T
     bt = (orth * (0.5 * (rt - 1.0 / rt))).T
     em = np.exp(-beta * wj)
-    c = np.linalg.inv(at.T)
-    q = bt @ np.linalg.inv(at)
-    y = em[:, None] * (c @ bt.T) * em[None, :]
-    iyq = np.eye(kc + 1) - y @ q
-    q_iyq = q @ np.linalg.inv(iyq)
+    em[em < _BOLTZMANN_FLOOR] = 0.0
+    lu, piv, _ = dgetrf(at)
+    c, _ = dgetrs(lu, piv, np.eye(n), trans=1)     # At^-T
+    qt = c @ bt.T                                   # Q^T with Q = Bt At^-1
+    y = em[:, None] * qt * em[None, :]
+    # Q (1 - Y Q)^-1 through the transposed system
+    q_iyq = np.linalg.solve(np.eye(n) - qt @ y.T, qt).T
     xi = em[:, None] * q_iyq * em[None, :]
-    core = at.T - bt.T @ c @ bt.T
+    core = at.T - bt.T @ qt
     pi = core @ xi @ c - bt.T @ c
     xi_open = em[:, None] * q_iyq    # e^- Q (1 - YQ)^-1, right factor unscaled
     omega = (at.T * em[None, :]) @ at + pi @ (bt.T * em[None, :]) @ at \
         - core @ xi_open @ bt
-    if max(np.abs(omega.imag).max(), np.abs(pi.imag).max()) > 1e-9:
-        return TotalGaussian(omega=omega, pi=pi)
-    return TotalGaussian(omega=omega.real, pi=pi.real)
+    return TotalGaussian(omega=omega, pi=pi)
+
+
+def _guarded_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Solve a x = b from one LU of ``a``; also return sign and ln|det a|.
+
+    Raises ``NonTraceable`` when the LAPACK 1-norm estimate of the reciprocal
+    condition number is below ``_RCOND_FLOOR``.
+    """
+    lu, piv, info = dgetrf(a)
+    rcond, _ = dgecon(lu, np.abs(a).sum(axis=0).max())
+    if info > 0 or not rcond >= _RCOND_FLOOR:
+        raise NonTraceable(f"1 - EE block is numerically singular "
+                           f"(rcond estimate {rcond:.3e} < {_RCOND_FLOOR})")
+    x, _ = dgetrs(lu, piv, b)
+    diag = np.diag(lu)
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))
+    sign = (-1.0) ** swaps * float(np.prod(np.sign(diag)))
+    return x, sign, float(np.sum(np.log(np.abs(diag))))
 
 
 def gaussian_partial_trace(tg: TotalGaussian) -> tuple[GaussianKernel, float]:
     """Trace out the bath indices of the total kernel.
 
     Returns the reduced scalar kernel and the determinant factor
-    ||1 - [[Omega_EE, Pi_EE], [Pi_EE*, Omega_EE*]]||^(1/2) entering the
-    reduced-partition-function relation (NaN when the determinant is not
-    positive, which only happens for formally unstable configurations).
+    ||1 - [[Omega_EE, Pi_EE], [Pi_EE, Omega_EE]]||^(1/2) entering the
+    reduced-partition-function relation.  For real blocks that 2k_c matrix
+    is orthogonally similar to diag(1 - Omega_EE - Pi_EE,
+    1 - Omega_EE + Pi_EE), so two k_c systems replace it.  Raises
+    ``NonTraceable`` when either block is numerically singular or the
+    determinant is not positive (the bath integral diverges).
     """
     om, pi = tg.omega, tg.pi
-    n = om.shape[0]
-    if n == 1:
+    if om.shape[0] == 1:
         return GaussianKernel(omega_s=complex(om[0, 0]),
                               pi_s=complex(pi[0, 0])), 1.0
-    kc = n - 1
-    om_ee, pi_ee = om[1:, 1:], pi[1:, 1:]
-    om_se, pi_se = om[0:1, 1:], pi[0:1, 1:]
-    mee = np.block([[om_ee, pi_ee], [pi_ee.conj(), om_ee.conj()]])
-    left = np.block([[om_se, pi_se], [pi_se.conj(), om_se.conj()]])
-    right = np.vstack([np.hstack([om_se.conj().T, pi_se.T]),
-                       np.hstack([pi_se.conj().T, om_se.T])])
-    resolvent = np.eye(2 * kc) - mee
-    if np.linalg.cond(resolvent) > 1e14:
-        raise NonTraceable("1 - EE block is numerically singular")
-    x = np.linalg.solve(resolvent, right)
-    top = np.array([[om[0, 0], pi[0, 0]],
-                    [np.conj(pi[0, 0]), np.conj(om[0, 0])]])
-    red = top + left @ x
-    sign, logdet = np.linalg.slogdet(resolvent)
-    factor = float(np.exp(0.5 * logdet)) if sign > 0 else float("nan")
-    return GaussianKernel(omega_s=complex(red[0, 0]),
-                          pi_s=complex(red[0, 1])), factor
+    eye = np.eye(om.shape[0] - 1)
+    u, v = om[0, 1:] + pi[0, 1:], om[0, 1:] - pi[0, 1:]
+    x_plus, sign_plus, logdet_plus = _guarded_solve(
+        eye - om[1:, 1:] - pi[1:, 1:], u)
+    x_minus, sign_minus, logdet_minus = _guarded_solve(
+        eye - om[1:, 1:] + pi[1:, 1:], v)
+    sign, logdet = sign_plus * sign_minus, logdet_plus + logdet_minus
+    if sign <= 0:
+        raise NonTraceable(f"det(1 - EE block) is not positive: sign {sign:+.0f}, "
+                           f"ln|det| = {logdet:.6e}")
+    up, vm = float(u @ x_plus), float(v @ x_minus)
+    return GaussianKernel(omega_s=complex(om[0, 0] + 0.5 * (up + vm)),
+                          pi_s=complex(pi[0, 0] + 0.5 * (up - vm))), \
+        float(np.exp(0.5 * logdet))
 
 
-def finite_kernel(modes: ModeList, beta: float, counterterm: bool = False,
-                  backend: str = "auto") -> GaussianKernel:
+def finite_kernel(modes: ModeList, beta: float,
+                  counterterm: bool = False) -> GaussianKernel:
     """Reduced kernel of the discretized model (generator + partial trace)."""
     gen = build_generator(modes, beta, counterterm)
-    kernel, _ = gaussian_partial_trace(total_gaussian(gen, backend))
+    kernel, _ = gaussian_partial_trace(total_gaussian(gen))
     return kernel
 
 
@@ -202,14 +184,18 @@ def _stiffness(modes: ModeList, counterterm: bool) -> np.ndarray:
     return k
 
 
-def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.ndarray:
-    """Eigenfrequencies of the coupled stiffness matrix, sorted ascending."""
-    ev = np.linalg.eigvalsh(_stiffness(modes, counterterm))
+def _stable_frequencies(ev: np.ndarray) -> np.ndarray:
+    """Square roots of ascending stiffness eigenvalues; the lowest must be > 0."""
     if ev[0] <= 0:
         raise InvertedPotential(
             f"stiffness matrix has eigenvalue {ev[0]:.6e} <= 0 "
             "(coupling too strong for the model without counterterm)")
     return np.sqrt(ev)
+
+
+def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.ndarray:
+    """Eigenfrequencies of the coupled stiffness matrix, sorted ascending."""
+    return _stable_frequencies(np.linalg.eigvalsh(_stiffness(modes, counterterm)))
 
 
 def log_partition_total(modes: ModeList, beta: float,
@@ -248,15 +234,13 @@ def moments_from_modes(modes: ModeList, beta: float,
 
     Equivalent to the Gaussian partial trace (both are exact for the finite
     model) but reduces to a single symmetric eigenproblem; used as a fast
-    backend and as an independent cross-check of the kernel machinery.
+    route and as an independent cross-check of the kernel machinery.
     """
     if beta <= 0:
         raise InvalidGrid("beta must be positive")
     k = _stiffness(modes, counterterm)
     ev, orth = np.linalg.eigh(k)
-    if ev[0] <= 0:
-        raise InvertedPotential("no thermal state: inverted potential")
-    wj = np.sqrt(ev)
+    wj = _stable_frequencies(ev)
     coth = 1.0 / np.tanh(np.minimum(beta * wj / 2, 350.0))
     weight = orth[0]**2 * coth
     x2 = float(np.sum(weight / (2 * wj)))
@@ -372,7 +356,7 @@ def _fock_once(modes: ModeList, beta: float, caps, counterterm: bool) -> FockRes
                       ln_z_total=ln_z_total, ln_z_reduced=ln_z_reduced)
 
 
-def oracle_moments(modes: ModeList, beta: float, counterterm: bool = False,
-                   backend: str = "auto") -> Moments:
+def oracle_moments(modes: ModeList, beta: float,
+                   counterterm: bool = False) -> Moments:
     """Moments of the discretized model through the Gaussian machinery."""
-    return kernel_to_moments(finite_kernel(modes, beta, counterterm, backend))
+    return kernel_to_moments(finite_kernel(modes, beta, counterterm))

@@ -8,6 +8,7 @@ discretized model per normal mode.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,13 +164,16 @@ def exact_point(cfg: SpectralConfig, temperature: float,
 
 def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
           t_ref: float = 5.0, fixed_temperature: float = 1.0,
-          modes: ModeList | None = None,
+          modes: ModeList | Sequence[ModeList] | None = None,
           method: str = "auto") -> list[ThermoPoint]:
     """Evaluate a pipeline over a strictly increasing positive grid.
 
     ``axis`` is "temperature" or "coupling"; ``pipeline`` one of "exact",
-    "drop-imaginary", "drop-pairing", "naive".  Per-point failures are
-    recorded on the returned points instead of aborting the sweep.
+    "drop-imaginary", "drop-pairing", "naive".  The naive pipeline needs the
+    discretized bath: one ModeList on the temperature axis, or one ModeList
+    per grid coupling (each discretized at that coupling) on the coupling
+    axis.  Per-point failures are recorded on the returned points instead of
+    aborting the sweep.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -184,16 +188,15 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
     else:
         temps, couplings = [fixed_temperature] * len(grid), [float(g) for g in grid]
     if pipeline == "naive":
-        if modes is None:
-            raise InvalidGrid("naive pipeline requires a ModeList")
-        try:
-            energies, capacities = naive_curves(
-                modes, [1.0 / t for t in temps], cfg.counterterm)
-        except QbmError as exc:  # one decomposition serves every point
-            return [_failed_point(t, g, exc) for t, g in zip(temps, couplings)]
-        return [ThermoPoint(temperature=t, coupling=g, internal_energy=u,
-                            heat_capacity=c, z_reduced=float("nan"))
-                for t, g, u, c in zip(temps, couplings, energies, capacities)]
+        if axis == "temperature":
+            if not isinstance(modes, ModeList):
+                raise InvalidGrid("naive temperature sweep requires a ModeList")
+            return _naive_points(modes, temps, couplings, cfg.counterterm)
+        if modes is None or isinstance(modes, ModeList) or len(modes) != len(grid):
+            raise InvalidGrid("naive coupling sweep requires one ModeList per "
+                              "coupling, discretized at that coupling")
+        return [point for ml, t, g in zip(modes, temps, couplings)
+                for point in _naive_points(ml, [t], [g], cfg.counterterm)]
 
     h_cache: ReducedHamiltonian | None = None
     if axis == "temperature":
@@ -212,6 +215,18 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
         except QbmError as exc:  # collected per point, not fatal
             points.append(_failed_point(temperature, coupling, exc))
     return points
+
+
+def _naive_points(modes: ModeList, temps: list[float], couplings: list[float],
+                  counterterm: bool) -> list[ThermoPoint]:
+    try:
+        energies, capacities = naive_curves(modes, [1.0 / t for t in temps],
+                                            counterterm)
+    except QbmError as exc:  # one decomposition serves every point
+        return [_failed_point(t, g, exc) for t, g in zip(temps, couplings)]
+    return [ThermoPoint(temperature=t, coupling=g, internal_energy=u,
+                        heat_capacity=c, z_reduced=float("nan"))
+            for t, g, u, c in zip(temps, couplings, energies, capacities)]
 
 
 def _failed_point(temperature: float, coupling: float,

@@ -178,6 +178,17 @@ class TestMain:
         assert code == 0
         assert "U,C" in out.read_text().splitlines()[-4]
 
+    def test_sweep_naive_coupling_axis(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["--gammas", "0.1,0.5,1", "--kc", "80",
+                     "--omega-max", "200", "--no-timestamp", "--out", str(out),
+                     "sweep", "--axis", "coupling", "--pipeline", "naive"])
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [float(r[1]) for r in rows] == [0.1, 0.5, 1.0]
+        assert len({r[3] for r in rows}) == 3   # one C per coupling
+
     def test_thermo_command(self, tmp_path):
         out = tmp_path / "thermo.csv"
         code = main(["--temperatures", "geom:0.5:2:4", "--gamma", "0.5",

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from qbm import (InvertedPotential, ModeList, TruncationError, ZeroTemperature,
-                 build_generator, finite_kernel, fock_oracle,
-                 gaussian_partial_trace, kernel_to_moments, log_partition_env,
-                 log_partition_total, moments_from_modes,
-                 normal_mode_frequencies, oracle_moments, reduced_partition,
-                 total_gaussian)
-from qbm.finite import _reflect_major, _reflect_minor
+from qbm import (InvertedPotential, ModeList, NonTraceable, SpectralConfig,
+                 TruncationError, ZeroTemperature, build_generator, discretize,
+                 finite_kernel, fock_oracle, gaussian_partial_trace,
+                 kernel_to_moments, log_partition_env, log_partition_total,
+                 moments_from_modes, normal_mode_frequencies, oracle_moments,
+                 reduced_partition, total_gaussian)
+from qbm.finite import TotalGaussian
 from qbm.state import Moments
 
 ONE_MODE = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.3]))
@@ -36,21 +36,6 @@ class TestGenerator:
         assert np.all(gen.r == 0)
         np.testing.assert_allclose(np.diag(gen.d), -1.0 * np.array([1, 1.5, 2.5]))
 
-    def test_reflection_involution(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 5))
-        np.testing.assert_allclose(_reflect_minor(_reflect_minor(a)), a)
-        np.testing.assert_allclose(_reflect_major(_reflect_major(a)), a)
-
-    def test_reflection_index_map_k2(self):
-        # explicit element bookkeeping on a 3x3 asymmetric matrix
-        a = np.arange(9.0).reshape(3, 3)
-        m = _reflect_minor(a)
-        n = 3
-        for i in range(n):
-            for j in range(n):
-                assert m[i, j] == a[n - 1 - j, n - 1 - i]
-
 
 class TestTotalGaussian:
     def test_system_only(self):
@@ -71,29 +56,27 @@ class TestTotalGaussian:
         rng = np.random.default_rng(1)
         modes = random_modes(rng, 4)
         tg = total_gaussian(build_generator(modes, beta=1.3, counterterm=True))
+        assert tg.omega.dtype == np.float64 and tg.pi.dtype == np.float64
         np.testing.assert_allclose(tg.omega, tg.omega.T, atol=1e-10)
         np.testing.assert_allclose(tg.pi, tg.pi.T, atol=1e-10)
 
-    @pytest.mark.parametrize("counterterm", [False, True])
-    def test_backends_agree(self, counterterm):
-        rng = np.random.default_rng(2)
-        modes = random_modes(rng, 3)
-        for beta in (0.6, 1.7):
-            gen = build_generator(modes, beta, counterterm)
-            a = total_gaussian(gen, backend="expm")
-            b = total_gaussian(gen, backend="normal-mode")
-            np.testing.assert_allclose(a.omega, b.omega, atol=1e-12)
-            np.testing.assert_allclose(a.pi, b.pi, atol=1e-12)
-
     def test_normal_mode_backend_handles_large_grading(self):
-        # beta * Omega_max far beyond what the dense exponential can represent
-        from qbm import SpectralConfig, discretize
+        # beta * Omega_max = 480: exp(-beta Omega_j) spans ~200 decades
         modes = discretize(SpectralConfig(0.5, 20.0), 120, 240.0)
         m_kern = kernel_to_moments(finite_kernel(modes, 2.0, counterterm=True))
         m_corr = moments_from_modes(modes, 2.0, counterterm=True)
         assert m_kern.occupation == pytest.approx(m_corr.occupation, rel=1e-11)
         assert m_kern.squeezing.real == pytest.approx(m_corr.squeezing.real,
                                                       rel=1e-9)
+
+    def test_mild_grading_matches_normal_modes(self):
+        # beta * Omega_max = 10: the mildly graded end of the route
+        modes = discretize(SpectralConfig(0.5, 20.0), 100, 100.0)
+        m_kern = oracle_moments(modes, 0.1, counterterm=True)
+        m_corr = moments_from_modes(modes, 0.1, counterterm=True)
+        assert m_kern.occupation == pytest.approx(m_corr.occupation, rel=1e-11)
+        assert m_kern.squeezing.real == pytest.approx(m_corr.squeezing.real,
+                                                      rel=1e-11)
 
 
 class TestPartialTrace:
@@ -109,7 +92,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(3)
         modes = random_modes(rng, 2)
         tg = total_gaussian(build_generator(modes, beta=1.1))
-        kernel, _ = gaussian_partial_trace(tg)
+        kernel, factor = gaussian_partial_trace(tg)
         om, pi = tg.omega, tg.pi
         kc = 2
         mee = np.block([[om[1:, 1:], pi[1:, 1:]],
@@ -121,6 +104,30 @@ class TestPartialTrace:
             + left @ np.linalg.inv(np.eye(2 * kc) - mee) @ right
         assert kernel.omega_s == pytest.approx(red[0, 0], abs=1e-12)
         assert kernel.pi_s == pytest.approx(red[0, 1], abs=1e-12)
+        assert factor == pytest.approx(
+            np.sqrt(np.linalg.det(np.eye(2 * kc) - mee)), rel=1e-12)
+
+    @staticmethod
+    def _hand_built(om_ee, pi_ee):
+        # system row and column coupled weakly to a hand-set bath block
+        n = om_ee.shape[0] + 1
+        om, pi = np.full((n, n), 0.05), np.full((n, n), 0.02)
+        om[1:, 1:], pi[1:, 1:] = om_ee, pi_ee
+        return TotalGaussian(omega=om, pi=pi)
+
+    def test_singular_block_raises(self):
+        # 1 - Omega_EE - Pi_EE has a zero eigenvalue (up to rounding)
+        tg = self._hand_built(np.array([[0.6, 0.0], [0.0, 0.3]]),
+                              np.array([[0.4, 0.0], [0.0, 0.1]]))
+        with pytest.raises(NonTraceable, match="singular"):
+            gaussian_partial_trace(tg)
+
+    def test_nonpositive_determinant_raises(self):
+        # 1 - EE has one negative eigenvalue (1 - 1.1 - 0.4 = -0.5)
+        tg = self._hand_built(np.array([[1.1, 0.0], [0.0, 0.3]]),
+                              np.array([[0.4, 0.0], [0.0, 0.1]]))
+        with pytest.raises(NonTraceable, match=r"sign -1, ln\|det\| = "):
+            gaussian_partial_trace(tg)
 
 
 class TestNormalModes:
@@ -149,6 +156,8 @@ class TestNormalModes:
         modes = ModeList(frequencies=np.array([0.5]), couplings=np.array([0.5]))
         with pytest.raises(InvertedPotential):
             normal_mode_frequencies(modes)
+        with pytest.raises(InvertedPotential):
+            total_gaussian(build_generator(modes, 1.0))
         # counterterm restores stability for the same couplings
         normal_mode_frequencies(modes, counterterm=True)
 

@@ -205,6 +205,26 @@ class TestSweep:
         with pytest.raises(InvalidGrid):
             sweep("temperature", [1.0], CFG, pipeline="naive")  # no ModeList
 
+    def test_naive_coupling_sweep_discretizes_per_gamma(self):
+        gammas = [0.1, 1.0]
+        modes = [discretize(SpectralConfig(g, CFG.cutoff), 60, 100.0)
+                 for g in gammas]
+        points = sweep("coupling", gammas, CFG, pipeline="naive",
+                       fixed_temperature=0.5, modes=modes)
+        assert points[0].heat_capacity != points[1].heat_capacity
+        for p, g, ml in zip(points, gammas, modes):
+            assert p.error is None and p.coupling == g
+            energies, capacities = thermo.naive_curves(ml, [2.0], True)
+            assert p.internal_energy == energies[0]
+            assert p.heat_capacity == capacities[0]
+
+    def test_naive_coupling_sweep_needs_one_modelist_per_gamma(self):
+        modes = discretize(CFG, 20, 100.0)
+        for bad in (modes, [modes], None):
+            with pytest.raises(InvalidGrid):
+                sweep("coupling", [0.1, 1.0], CFG, pipeline="naive",
+                      modes=bad)
+
     def test_grid_validation(self):
         with pytest.raises(InvalidGrid):
             sweep("temperature", [2.0, 1.0], CFG)
