@@ -9,18 +9,15 @@ against finite-mode Gaussian and Fock-space oracles.
 
 __version__ = "0.1.0"
 
-from .errors import (BranchAmbiguity, BranchCut, ConfigError, DivergentKernel,
-                     Instability, InvalidGrid, InvertedPotential,
-                     NoConvergence, NonNormalizable, NonTraceable, PoleOnAxis,
-                     QbmError, TruncationError,
-                     UnstableReducedPotential, ZeroTemperature)
-from .spectral import (OMEGA_S, ModeList, SpectralConfig, default_omega_max,
-                       discretize, eval_spectral_density, kernel_g,
-                       kernel_g_prime, self_energy, thermal_self_energy)
+from .errors import (BranchAmbiguity, ConfigError, InvalidGrid,
+                     InvertedPotential, NonNormalizable, NonTraceable,
+                     QbmError, TruncationError, UnstableReducedPotential,
+                     ZeroTemperature)
+from .spectral import (OMEGA_S, ModeList, SpectralConfig, discretize,
+                       eval_spectral_density)
 from .state import (GaussianKernel, Moments, kernel_to_moments,
                     moments_to_kernel)
-from .continuum import (find_dominant_pole, laplace_kernel_matrix,
-                        matsubara_moments, solve_kernel, solve_moments)
+from .continuum import matsubara_moments, solve_kernel, solve_moments
 from .finite import (FockResult, Generator, TotalGaussian, build_generator,
                      finite_kernel, fock_oracle, gaussian_partial_trace,
                      log_partition_env, log_partition_total,

@@ -42,7 +42,6 @@ class RunConfig:
     temperatures: tuple = tuple(np.geomspace(0.05, 3.0, 60))
     gammas: tuple = _FIGURE_GAMMAS
     temperature: float = 1.0
-    method: str = "auto"
     k_c: int = 400
     omega_max: float = 200.0
     n_max: int = 60
@@ -81,10 +80,8 @@ _GRID_KEYS = {"temperatures", "gammas"}
 _FLOAT_KEYS = {"gamma", "cutoff", "temperature", "omega_max", "t_ref"}
 _INT_KEYS = {"k_c", "n_max"}
 _BOOL_KEYS = {"counterterm", "timestamp"}
-_STR_KEYS = {"method", "out", "fmt"}
+_STR_KEYS = {"out", "fmt"}
 _ALL_KEYS = _GRID_KEYS | _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
-
-_METHODS = ("auto", "matsubara", "inverse-laplace", "discretize-extrapolate")
 
 
 def _parse_grid(key: str, text: str) -> tuple:
@@ -150,8 +147,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("omega_max", "must be > 0")
     if cfg.n_max < 1:
         raise ConfigError("n_max", "must be >= 1")
-    if cfg.method not in _METHODS:
-        raise ConfigError("method", f"must be one of {_METHODS}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError("fmt", "must be csv or json")
     return cfg
@@ -199,9 +194,7 @@ def _meta(cfg: RunConfig, **extra) -> dict:
         "gamma": cfg.gamma,
         "cutoff": cfg.cutoff,
         "counterterm": cfg.counterterm,
-        "method": cfg.method,
         "t_ref": cfg.t_ref,
-        "kernel_tolerance": 1e-6,
         "cross_validation_tolerance": 1e-4,
     }
     meta.update(extra)
@@ -227,17 +220,11 @@ def run_figure(figure_id: str, cfg: RunConfig) -> FigureDataset:
     return builder(cfg).validate()
 
 
-def _state_row(cfg: RunConfig, gamma: float, temperature: float):
-    moments = solve_moments(cfg.spectral(gamma), 1.0 / temperature,
-                            method=cfg.method)
-    return moments
-
-
 def _figure_1a(cfg: RunConfig) -> FigureDataset:
     rows = []
     for gamma in _coupling_grid():
         try:
-            m = _state_row(cfg, gamma, 10.0)
+            m = solve_moments(cfg.spectral(gamma), 1.0 / 10.0)
             rows.append([gamma, m.occupation, abs(m.squeezing), ""])
         except QbmError as exc:
             rows.append([gamma, float("nan"), float("nan"), type(exc).__name__])
@@ -249,7 +236,7 @@ def _figure_1b(cfg: RunConfig) -> FigureDataset:
     rows = []
     for gamma in _coupling_grid():
         try:
-            m = _state_row(cfg, gamma, 10.0)
+            m = solve_moments(cfg.spectral(gamma), 1.0 / 10.0)
             h = reduced_hamiltonian(m, 10.0)
             rows.append([gamma, h.omega, abs(h.pairing), h.eigenfrequency, ""])
         except QbmError as exc:
@@ -267,7 +254,7 @@ def _figure_2a(cfg: RunConfig) -> FigureDataset:
     rows = []
     for temp in _fig2_grid():
         try:
-            m = _state_row(cfg, 0.5, temp)
+            m = solve_moments(cfg.spectral(0.5), 1.0 / temp)
             rows.append([temp, m.occupation, abs(m.squeezing), ""])
         except QbmError as exc:
             rows.append([temp, float("nan"), float("nan"), type(exc).__name__])
@@ -279,7 +266,7 @@ def _figure_2b(cfg: RunConfig) -> FigureDataset:
     rows = []
     for temp in _fig2_grid():
         try:
-            m = _state_row(cfg, 0.5, temp)
+            m = solve_moments(cfg.spectral(0.5), 1.0 / temp)
             h = reduced_hamiltonian(m, temp)
             rows.append([temp, h.omega, abs(h.pairing), ""])
         except QbmError as exc:
@@ -292,8 +279,7 @@ def _thermo_rows(cfg: RunConfig, gammas, columns_of) -> list:
     rows = []
     for gamma in gammas:
         try:
-            h = reduced_hamiltonian_at(cfg.spectral(gamma), cfg.t_ref,
-                                       method=cfg.method)
+            h = reduced_hamiltonian_at(cfg.spectral(gamma), cfg.t_ref)
         except QbmError as exc:
             for temp in cfg.temperatures:
                 rows.append([temp, gamma] + [float("nan")] * 2
@@ -358,7 +344,7 @@ def _figure_5(cfg: RunConfig) -> FigureDataset:
         scfg = cfg.spectral(gamma)
         modes = discretize(scfg, cfg.k_c, cfg.omega_max)
         try:
-            h = reduced_hamiltonian_at(scfg, cfg.t_ref, method=cfg.method)
+            h = reduced_hamiltonian_at(scfg, cfg.t_ref)
         except QbmError as exc:
             h, h_err = None, type(exc).__name__
         else:
@@ -391,7 +377,7 @@ def oracle_compare(cfg: RunConfig, gammas=(0.0, 0.5),
         for temp in temperatures:
             beta = 1.0 / temp
             try:
-                m_cont = solve_moments(scfg, beta, method=cfg.method)
+                m_cont = solve_moments(scfg, beta)
                 z_cont = reduced_partition(m_cont)
             except QbmError as exc:  # flags every rung of this (gamma, T)
                 rows += [[gamma, temp, k_c, float("nan"), float("nan"),
@@ -489,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kc", dest="k_c", type=int, default=None)
     parser.add_argument("--omega-max", dest="omega_max", type=float, default=None)
     parser.add_argument("--n-max", dest="n_max", type=int, default=None)
-    parser.add_argument("--method", type=str, default=None, choices=_METHODS)
     parser.add_argument("--t-ref", dest="t_ref", type=float, default=None)
     parser.add_argument("--no-counterterm", action="store_true",
                         help="drop the static stiffness compensation")
@@ -514,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides = {key: getattr(args, key, None)
                  for key in ("gamma", "temperature", "temperatures", "gammas",
-                             "cutoff", "k_c", "omega_max", "n_max", "method",
-                             "t_ref", "out", "fmt")}
+                             "cutoff", "k_c", "omega_max", "n_max", "t_ref",
+                             "out", "fmt")}
     if args.no_counterterm:
         overrides["counterterm"] = False
     if args.no_timestamp:
@@ -525,7 +510,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 def _cmd_state(cfg: RunConfig) -> int:
     from .state import moments_to_kernel
-    m = solve_moments(cfg.spectral(), 1.0 / cfg.temperature, method=cfg.method)
+    m = solve_moments(cfg.spectral(), 1.0 / cfg.temperature)
     kernel = moments_to_kernel(m)
     h = reduced_hamiltonian(m, cfg.temperature)
     payload = {
@@ -556,7 +541,7 @@ def _points_dataset(points: list[ThermoPoint], name: str, cfg: RunConfig,
 
 def _cmd_thermo(cfg: RunConfig) -> int:
     points = sweep("temperature", cfg.temperatures, cfg.spectral(),
-                   pipeline="exact", t_ref=cfg.t_ref, method=cfg.method)
+                   pipeline="exact", t_ref=cfg.t_ref)
     path = write_dataset(_points_dataset(points, "thermo", cfg, "temperature"),
                          cfg, "thermo")
     print(path)
@@ -572,7 +557,7 @@ def _cmd_sweep(cfg: RunConfig, axis: str, pipeline: str) -> int:
         modes = [discretize(cfg.spectral(g), cfg.k_c, cfg.omega_max) for g in grid]
     points = sweep(axis, grid, cfg.spectral(), pipeline=pipeline,
                    t_ref=cfg.t_ref, fixed_temperature=cfg.temperature,
-                   modes=modes, method=cfg.method)
+                   modes=modes)
     path = write_dataset(_points_dataset(points, f"sweep-{pipeline}", cfg, axis),
                          cfg, f"sweep_{pipeline}")
     print(path)

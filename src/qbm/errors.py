@@ -5,28 +5,8 @@ class QbmError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DivergentKernel(QbmError):
-    """Imaginary-time kernel requested outside its convergence domain."""
-
-
-class BranchCut(QbmError):
-    """Self-energy evaluated on its branch cut without a prescription."""
-
-
-class PoleOnAxis(QbmError):
-    """Thermal self-energy hit an on-axis pole with prescriptions disabled."""
-
-
 class InvalidGrid(QbmError):
     """Discretization or sweep grid parameters are unusable."""
-
-
-class Instability(QbmError):
-    """Kernel pole found beyond the solver's abscissa search window."""
-
-
-class NoConvergence(QbmError):
-    """Bromwich series failed its internal error estimate."""
 
 
 class NonNormalizable(QbmError):

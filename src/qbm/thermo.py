@@ -134,16 +134,15 @@ def naive_heat_capacity(modes: ModeList, beta: float,
     return naive_curves(modes, [beta], counterterm)[1][0]
 
 
-def reduced_hamiltonian_at(cfg: SpectralConfig, t_ref: float,
-                           method: str = "auto") -> ReducedHamiltonian:
+def reduced_hamiltonian_at(cfg: SpectralConfig,
+                           t_ref: float) -> ReducedHamiltonian:
     """Solve the continuum model at ``t_ref`` and extract (omega_r, Delta_r)."""
-    moments = solve_moments(cfg, 1.0 / t_ref, method=method)
+    moments = solve_moments(cfg, 1.0 / t_ref)
     return reduced_hamiltonian(moments, t_ref)
 
 
 def exact_point(cfg: SpectralConfig, temperature: float,
-                h: ReducedHamiltonian | None = None,
-                method: str = "auto") -> ThermoPoint:
+                h: ReducedHamiltonian | None = None) -> ThermoPoint:
     """Exact-pipeline observables at one temperature.
 
     When ``h`` is given (typically extracted once at a reference temperature)
@@ -151,7 +150,7 @@ def exact_point(cfg: SpectralConfig, temperature: float,
     Hamiltonian is extracted at ``temperature`` itself.
     """
     if h is None:
-        h = reduced_hamiltonian_at(cfg, temperature, method=method)
+        h = reduced_hamiltonian_at(cfg, temperature)
     m = extended_bose_einstein(h, temperature)
     wbar = h.eigenfrequency
     u = internal_energy_hamiltonian(h, m)
@@ -164,8 +163,8 @@ def exact_point(cfg: SpectralConfig, temperature: float,
 
 def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
           t_ref: float = 5.0, fixed_temperature: float = 1.0,
-          modes: ModeList | Sequence[ModeList] | None = None,
-          method: str = "auto") -> list[ThermoPoint]:
+          modes: ModeList | Sequence[ModeList] | None = None
+          ) -> list[ThermoPoint]:
     """Evaluate a pipeline over a strictly increasing positive grid.
 
     ``axis`` is "temperature" or "coupling"; ``pipeline`` one of "exact",
@@ -201,7 +200,7 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
     h_cache: ReducedHamiltonian | None = None
     if axis == "temperature":
         try:
-            h_cache = reduced_hamiltonian_at(cfg, t_ref, method=method)
+            h_cache = reduced_hamiltonian_at(cfg, t_ref)
         except QbmError:
             h_cache = None  # per-point evaluation will record the failure
 
@@ -211,7 +210,7 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
             gamma=coupling, cutoff=cfg.cutoff, counterterm=cfg.counterterm)
         try:
             points.append(_sweep_point(point_cfg, temperature, pipeline,
-                                       t_ref, method, h_cache))
+                                       t_ref, h_cache))
         except QbmError as exc:  # collected per point, not fatal
             points.append(_failed_point(temperature, coupling, exc))
     return points
@@ -238,10 +237,9 @@ def _failed_point(temperature: float, coupling: float,
 
 
 def _sweep_point(cfg: SpectralConfig, temperature: float, pipeline: str,
-                 t_ref: float, method: str,
+                 t_ref: float,
                  h_cache: ReducedHamiltonian | None) -> ThermoPoint:
-    h = h_cache if h_cache is not None else \
-        reduced_hamiltonian_at(cfg, t_ref, method=method)
+    h = h_cache if h_cache is not None else reduced_hamiltonian_at(cfg, t_ref)
     if pipeline == "exact":
         return exact_point(cfg, temperature, h=h)
     if pipeline in ("drop-imaginary", "drop-pairing"):

@@ -47,8 +47,14 @@ class TestParseConfig:
         assert cfg.gammas == (0.1, 0.5)
 
     def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            parse_config(overrides={"method": "magic"})
+        # there is one continuum solver, so "method" is no longer a key
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"method": "matsubara"})
+        assert err.value.key == "method"
+        assert "unknown configuration key" in err.value.reason
+        with pytest.raises(SystemExit) as stop:
+            main(["--method", "matsubara", "state"])
+        assert stop.value.code == 2
 
 
 @pytest.fixture(scope="module")
