@@ -3,11 +3,14 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from qbm import (GaussianKernel, InvertedPotential, Moments, NonNormalizable,
                  SpectralConfig, discretize, finite_kernel, kernel_to_moments,
                  matsubara_moments, moments_to_kernel, solve_kernel,
                  solve_moments)
+
+from laplace_reference import self_energy
 
 CFG = SpectralConfig(gamma=0.5, cutoff=20.0)
 FREE = SpectralConfig(gamma=0.0, cutoff=20.0)
@@ -31,6 +34,28 @@ def _discretize_extrapolate(cfg, beta, base_k=100):
     safe = np.abs(denom) > 1e-14 * np.maximum(np.abs(f2), 1.0)
     extrap = np.where(safe, f2 - d2**2 / np.where(safe, denom, 1.0), f2)
     return GaussianKernel(omega_s=complex(extrap[0]), pi_s=complex(extrap[1]))
+
+
+def _propagator_moments(cfg, beta, terms):
+    """(n, s) from Matsubara sums of the propagator built from J(w) alone.
+
+    With Sigma(s) = int dw/2pi J(w)/(s + w), the damping term at the Matsubara
+    frequency nu is nu gammahat(nu) = 4 Sigma(0) - 4 Re Sigma(i nu), and the
+    counterterm adds 4 Sigma(0) to the stiffness, so G(nu) = 1/(nu^2 + 1
+    [+ 4 Sigma(0)] - 4 Re Sigma(i nu)).  The momentum terms are 1 - nu^2 G.
+    Past the last term both series are continued as c / nu^2, with c read
+    off that term.
+    """
+    sigma0 = self_energy(cfg, 0.0, pv="avg").real
+    stiffness = 1.0 + (4 * sigma0 if cfg.counterterm else 0.0)
+    nu = 2 * np.pi / beta * np.arange(1, terms + 1)
+    g = 1.0 / (nu**2 + stiffness - 4 * self_energy(cfg, 1j * nu).real)
+    p = 1.0 - nu**2 * g
+    tail = (beta / (2 * np.pi))**2 * polygamma(1, terms + 1)
+    x2 = (1.0 / (stiffness - 4 * sigma0)
+          + 2 * (g.sum() + nu[-1]**2 * g[-1] * tail)) / beta
+    p2 = (1.0 + 2 * (p.sum() + nu[-1]**2 * p[-1] * tail)) / beta
+    return np.array([0.5 * (x2 + p2) - 0.5, 0.5 * (x2 - p2)])
 
 
 class TestKernelMaps:
@@ -86,6 +111,20 @@ class TestMatsubaraMoments:
             b = kernel_to_moments(_discretize_extrapolate(CFG, beta).validate())
             assert a.occupation == pytest.approx(b.occupation, rel=1e-4)
             assert a.squeezing.real == pytest.approx(b.squeezing.real, rel=1e-3)
+
+    @pytest.mark.parametrize("cfg", [
+        CFG, SpectralConfig(0.02, 20.0, counterterm=False),
+        SpectralConfig(0.9, 1.0, counterterm=False)],
+        ids=["counterterm", "weak-bare", "near-unstable-bare"])
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_matches_self_energy_propagator(self, cfg, beta):
+        # ties the Drude cubic's coefficients to J(w); the tail error of the
+        # truncated sums is second order in 1/terms, so Richardson removes it
+        m = matsubara_moments(cfg, beta)
+        ref = (4 * _propagator_moments(cfg, beta, 20000)
+               - _propagator_moments(cfg, beta, 10000)) / 3
+        assert m.occupation == pytest.approx(ref[0], rel=1e-8)
+        assert m.squeezing.real == pytest.approx(ref[1], rel=1e-8)
 
     def test_physicality_on_grid(self):
         for gamma in (0.1, 1.0, 3.0):

@@ -1,16 +1,24 @@
-"""Spectral density, Bose occupation and bath discretization."""
+"""Spectral density, bath kernel and self-energy, Bose occupation, discretization."""
 
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 from qbm import (InvalidGrid, ModeList, SpectralConfig, discretize,
                  eval_spectral_density)
 from qbm.spectral import bose_occupation
 
+from laplace_reference import BranchCut, DivergentKernel, kernel_g, self_energy
+
 CFG = SpectralConfig(gamma=0.5, cutoff=20.0)
+
+
+def trapezoid_oracle(f, lo, hi, panels=10**6):
+    x = np.linspace(lo, hi, panels + 1)
+    return np.trapezoid(f(x), x)
 
 
 class TestSpectralConfig:
@@ -43,6 +51,73 @@ class TestSpectralDensity:
     def test_negative_frequency_rejected(self):
         with pytest.raises(InvalidGrid):
             eval_spectral_density(CFG, -1.0)
+
+
+class TestKernelG:
+    def test_zero_coupling(self):
+        assert kernel_g(SpectralConfig(0.0, 20.0), 0.7) == 0.0
+
+    def test_against_trapezoid_oracle(self):
+        def integrand(w):
+            return eval_spectral_density(CFG, w) * np.exp(-w) / (2 * np.pi)
+
+        oracle = trapezoid_oracle(integrand, 0.0, 300.0)
+        assert kernel_g(CFG, 1.0) == pytest.approx(oracle, rel=1e-8)
+
+    def test_closed_form_cross_check(self):
+        # int_0^inf w wc^2 e^(-w tau) / (w^2 + wc^2) dw via sine/cosine integrals
+        tau, wc = 0.35, CFG.cutoff
+        si, ci = sici(wc * tau)
+        closed = CFG.gamma * wc**2 / (2 * np.pi) * (
+            -np.cos(wc * tau) * ci + np.sin(wc * tau) * (np.pi / 2 - si))
+        assert kernel_g(CFG, tau) == pytest.approx(closed, rel=1e-9)
+
+    def test_monotone_decreasing(self):
+        assert kernel_g(CFG, 2.0) < kernel_g(CFG, 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_divergent_domain(self, tau):
+        with pytest.raises(DivergentKernel):
+            kernel_g(CFG, tau)
+
+
+class TestSelfEnergy:
+    def test_zero_coupling(self):
+        assert self_energy(SpectralConfig(0.0, 20.0), 2 + 3j) == 0
+
+    def test_real_positive_against_quadrature(self):
+        val = self_energy(CFG, 5.0)
+        ref = self_energy(CFG, 5.0, method="quad")
+        assert val.imag == pytest.approx(0.0, abs=1e-13)
+        assert val.real > 0
+        assert val == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [2 + 3j, 0.3 - 1j, 40 + 0.5j, 0.05 + 0.02j])
+    def test_closed_form_matches_quadrature(self, s):
+        assert self_energy(CFG, s) == pytest.approx(
+            self_energy(CFG, s, method="quad"), rel=1e-9)
+
+    def test_schwarz_reflection(self):
+        a = self_energy(CFG, 1 + 2j)
+        b = self_energy(CFG, 1 - 2j)
+        assert a == pytest.approx(np.conj(b), rel=1e-14)
+
+    def test_decreasing_on_positive_axis(self):
+        vals = [self_energy(CFG, s).real for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        assert np.all(np.diff(vals) < 0)
+
+    def test_branch_cut_raises(self):
+        with pytest.raises(BranchCut):
+            self_energy(CFG, -1.0)
+
+    def test_prescriptions_bracket_principal_value(self):
+        up = self_energy(CFG, -2.0, pv="upper")
+        lo = self_energy(CFG, -2.0, pv="lower")
+        avg = self_energy(CFG, -2.0, pv="avg")
+        assert avg == pytest.approx((up + lo) / 2, rel=1e-14)
+        # one-sided limits match evaluations just off the axis
+        assert up == pytest.approx(self_energy(CFG, -2.0 + 1e-9j), rel=1e-6)
+        assert lo == pytest.approx(self_energy(CFG, -2.0 - 1e-9j), rel=1e-6)
 
 
 class TestBoseOccupation:
