@@ -9,6 +9,7 @@ diagonalization provides a brute-force cross-check for one or two modes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,17 +271,22 @@ def fock_oracle(modes: ModeList, beta: float, n_max,
                 truncation_tol: float = 1e-5) -> FockResult:
     """Diagonalize the truncated Fock-space Hamiltonian and trace numerically.
 
-    ``n_max`` is a single occupation cap or one per mode (system first).
-    Total parity is conserved, so the Hamiltonian is diagonalized in two
-    parity blocks.  The truncation error is estimated by re-running with
-    every cap raised by ``truncation_delta``.
+    ``n_max`` is a single occupation cap or one per mode (system first);
+    caps are integers >= 1.  Total parity is conserved, so the Hamiltonian
+    is built, diagonalized and traced over the bath in two parity blocks.
+    The truncation error is estimated by re-running with every cap raised
+    by ``truncation_delta``.
     """
+    if not beta > 0:
+        raise InvalidGrid("beta must be positive")
     kc = len(modes)
     if kc not in (1, 2):
         raise InvalidGrid("fock_oracle supports 1 or 2 bath modes")
     caps = [n_max] * (kc + 1) if np.isscalar(n_max) else list(n_max)
     if len(caps) != kc + 1:
         raise InvalidGrid("n_max must be scalar or one entry per mode")
+    if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in caps):
+        raise InvalidGrid("occupation caps must be integers >= 1")
     result = _fock_once(modes, beta, caps, counterterm)
     if not check_truncation:
         return result
@@ -296,59 +302,110 @@ def fock_oracle(modes: ModeList, beta: float, n_max,
                       ln_z_reduced=bigger.ln_z_reduced, truncation=float(drift))
 
 
-def _kron_chain(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+def _parity_states(dims, parity: int):
+    """Flat indices of the Fock states whose total occupation has ``parity``.
+
+    They are ordered by system parity q, then system occupation, then bath
+    state, so the states of each q form a contiguous (system occupation) x
+    (bath state) product.  Returns the indices and, per q, the two sizes of
+    that product.
+    """
+    bath = np.indices(dims[1:]).reshape(len(dims) - 1, -1).sum(axis=0) % 2
+    flat, splits = [], []
+    for q in (0, 1):
+        system = np.arange(q, dims[0], 2)
+        bath_states = np.flatnonzero(bath == (parity + q) % 2)
+        flat.append((system[:, None] * len(bath) + bath_states).ravel())
+        splits.append((len(system), len(bath_states)))
+    return np.concatenate(flat), splits
+
+
+def _block_hamiltonian(modes: ModeList, dims, flat: np.ndarray,
+                       counterterm: bool) -> np.ndarray:
+    """Truncated Hamiltonian restricted to the Fock states ``flat``.
+
+    Each term is a coefficient times a product of small per-mode factors.
+    Every combination of the factors' nonzero diagonals moves each state by a
+    fixed occupation offset, so it fills one entry per row of the block.
+    """
+    occupations = np.unravel_index(flat, dims)
+    local = np.full(int(np.prod(dims)), -1)
+    local[flat] = np.arange(len(flat))
+    numbers = [np.diag(np.arange(float(d))) for d in dims]
+    positions = [_ladder(d) + _ladder(d).T for d in dims]
+    terms = [(OMEGA_S, {0: numbers[0]})]
+    for k, (freq, coupling) in enumerate(zip(modes.frequencies,
+                                             modes.couplings)):
+        terms.append((freq, {k + 1: numbers[k + 1]}))
+        terms.append((coupling, {0: positions[0], k + 1: positions[k + 1]}))
+    if counterterm:
+        # the truncated square: its top diagonal entry is d - 1, not 2d - 1
+        terms.append((modes.counterterm_strength,
+                      {0: positions[0] @ positions[0]}))
+
+    h = np.zeros((len(flat), len(flat)))
+    for coefficient, factors in terms:
+        diagonals = [[(j, offset) for offset in range(1 - dims[j], dims[j])
+                      if np.any(factor.diagonal(offset))]
+                     for j, factor in factors.items()]
+        for combination in itertools.product(*diagonals):
+            moved = list(occupations)
+            inside = np.ones(len(flat), dtype=bool)
+            amplitude = np.full(len(flat), float(coefficient))
+            for j, offset in combination:
+                moved[j] = occupations[j] + offset
+                inside &= (moved[j] >= 0) & (moved[j] < dims[j])
+                moved[j] = np.clip(moved[j], 0, dims[j] - 1)
+                amplitude *= factors[j][occupations[j], moved[j]]
+            rows = np.flatnonzero(inside)
+            columns = local[np.ravel_multi_index([m[rows] for m in moved],
+                                                 dims)]
+            h[rows, columns] += amplitude[rows]
+    return h
+
+
+def _reduced_block(modes: ModeList, beta: float, dims, parity: int,
+                   counterterm: bool):
+    """Diagonalize one parity block and trace its Gibbs weight over the bath.
+
+    Returns the block's ground energy e_0, its partition sum relative to e_0
+    and the system matrix Tr_E of its unnormalized exp(-beta (H - e_0)).
+    """
+    flat, splits = _parity_states(dims, parity)
+    w, u = np.linalg.eigh(_block_hamiltonian(modes, dims, flat, counterterm))
+    weights = np.exp(-beta * (w - w[0]))
+    u *= np.sqrt(weights)
+    rho_s = np.zeros((dims[0], dims[0]))
+    start = 0
+    for q, (n_system, n_bath) in enumerate(splits):
+        # one row per system occupation of parity q; bath states and
+        # eigenvectors run along it, so the product sums over both
+        rows = u[start:start + n_system * n_bath].reshape(n_system, -1)
+        rho_s[q::2, q::2] = rows @ rows.T
+        start += n_system * n_bath
+    return w[0], float(np.sum(weights)), rho_s
 
 
 def _fock_once(modes: ModeList, beta: float, caps, counterterm: bool) -> FockResult:
+    # occupancy parity is conserved, so each parity block is built,
+    # diagonalized and traced over the bath on its own; no total-space
+    # matrix is formed
     dims = [c + 1 for c in caps]
-    dim = int(np.prod(dims))
-    eyes = [np.eye(d) for d in dims]
-    numbers = [np.diag(np.arange(float(d))) for d in dims]
-    positions = [_ladder(d) + _ladder(d).T for d in dims]
-
-    def embed(i, op):
-        return _kron_chain([op if j == i else eyes[j] for j in range(len(dims))])
-
-    # assemble from per-mode factors: every product happens in the small spaces
-    h = OMEGA_S * embed(0, numbers[0])
-    xsys = embed(0, positions[0])
-    for k in range(len(modes)):
-        h += modes.frequencies[k] * embed(k + 1, numbers[k + 1])
-        h += modes.couplings[k] * _kron_chain(
-            [positions[j] if j in (0, k + 1) else eyes[j]
-             for j in range(len(dims))])
-    if counterterm:
-        h += modes.counterterm_strength * embed(0, positions[0] @ positions[0])
-    h = 0.5 * (h + h.T)
-
-    # occupancy parity is conserved: diagonalize the two blocks separately
-    grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
-    parity = (sum(grids).ravel() % 2).astype(int)
-    evals, evecs, indices = [], [], []
-    for par in (0, 1):
-        idx = np.where(parity == par)[0]
-        w, u = np.linalg.eigh(h[np.ix_(idx, idx)])
-        evals.append(w)
-        evecs.append(u)
-        indices.append(idx)
-    e0 = min(w.min() for w in evals)
-    z = sum(float(np.sum(np.exp(-beta * (w - e0)))) for w in evals)
-    rho = np.zeros((dim, dim))
-    for w, u, idx in zip(evals, evecs, indices):
-        rho[np.ix_(idx, idx)] = (u * np.exp(-beta * (w - e0))) @ u.T
-    rho /= z
-    n = float(np.sum(np.diag(embed(0, numbers[0])) * np.diag(rho)))
-    aa = embed(0, _ladder(dims[0]) @ _ladder(dims[0]))
-    s = float(np.sum(aa * rho))  # Tr(aa rho) with rho symmetric
+    blocks = [_reduced_block(modes, beta, dims, parity, counterterm)
+              for parity in (0, 1)]
+    e0 = min(e for e, _, _ in blocks)
+    z, rho_s = 0.0, np.zeros((dims[0], dims[0]))
+    for e, z_block, rho_block in blocks:
+        shift = np.exp(-beta * (e - e0))
+        z += shift * z_block
+        rho_s += shift * rho_block
+    rho_s /= z
+    n = float(np.arange(dims[0]) @ np.diag(rho_s))
+    ladder = _ladder(dims[0])
+    s = float(np.sum((ladder @ ladder) * rho_s))  # Tr(aa rho_S), rho_S symmetric
     ln_z_h = float(np.log(z) - beta * e0)
     ln_z_total = ln_z_h - beta * (OMEGA_S + float(np.sum(modes.frequencies))) / 2
 
-    rest = dim // dims[0]
-    rho_s = rho.reshape(dims[0], rest, dims[0], rest).trace(axis1=1, axis2=3)
     p = np.sort(np.linalg.eigvalsh(rho_s))[::-1]
     ratio = p[1] / p[0]
     ln_z_reduced = float(np.log(np.sqrt(ratio) / (1 - ratio)))

@@ -1,18 +1,25 @@
 """Finite-mode Gaussian machinery against hand constructions and Fock space."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qbm import (InvertedPotential, ModeList, NonTraceable, SpectralConfig,
-                 TruncationError, ZeroTemperature, build_generator, discretize,
-                 finite_kernel, fock_oracle, gaussian_partial_trace,
-                 kernel_to_moments, log_partition_env, log_partition_total,
-                 moments_from_modes, normal_mode_frequencies, oracle_moments,
-                 reduced_partition, total_gaussian)
-from qbm.finite import TotalGaussian
+from qbm import (InvalidGrid, InvertedPotential, ModeList, NonTraceable,
+                 SpectralConfig, TruncationError, ZeroTemperature,
+                 build_generator, discretize, finite_kernel, fock_oracle,
+                 gaussian_partial_trace, kernel_to_moments, log_partition_env,
+                 log_partition_total, moments_from_modes,
+                 normal_mode_frequencies, oracle_moments, reduced_partition,
+                 total_gaussian)
+from qbm.finite import (TotalGaussian, _block_hamiltonian, _fock_once,
+                        _parity_states)
+from qbm.spectral import OMEGA_S
 from qbm.state import Moments
 
 ONE_MODE = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.3]))
+TWO_MODES = ModeList(frequencies=np.array([1.6, 2.3]),
+                     couplings=np.array([0.2, -0.15]))
 
 
 def random_modes(rng, k_c, coupling_scale=0.3):
@@ -209,6 +216,16 @@ class TestPartitions:
 
 
 class TestFockOracle:
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5, (12, 0), (12, 2.5)])
+    def test_invalid_caps_rejected(self, n_max):
+        with pytest.raises(InvalidGrid, match="integers >= 1"):
+            fock_oracle(ONE_MODE, 1.0, n_max, check_truncation=False)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan])
+    def test_invalid_beta_rejected(self, beta):
+        with pytest.raises(InvalidGrid, match="beta must be positive"):
+            fock_oracle(ONE_MODE, beta, 10, check_truncation=False)
+
     def test_decoupled_bose_einstein(self):
         modes = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.0]))
         res = fock_oracle(modes, 1.0, 40, check_truncation=False)
@@ -253,14 +270,105 @@ class TestFockOracle:
                         truncation_delta=10)
 
     def test_two_bath_modes(self):
-        modes = ModeList(frequencies=np.array([1.6, 2.3]),
-                         couplings=np.array([0.2, -0.15]))
-        res = fock_oracle(modes, 1.2, (22, 14, 14), counterterm=True,
+        res = fock_oracle(TWO_MODES, 1.2, (22, 14, 14), counterterm=True,
                           check_truncation=False)
-        m = oracle_moments(modes, 1.2, counterterm=True)
+        m = oracle_moments(TWO_MODES, 1.2, counterterm=True)
         assert res.moments.occupation == pytest.approx(m.occupation, abs=5e-8)
         assert res.moments.squeezing.real == pytest.approx(m.squeezing.real,
                                                            abs=5e-8)
+
+
+def _kron_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def dense_fock(modes, beta, caps, counterterm):
+    """Reference Fock oracle on the dense total space.
+
+    Builds H with Kronecker products, the dense Gibbs state rho from its
+    eigenpairs, and n, s from N and aa embedded in the total space.  Returns
+    (n, s, ln_z_total, ln_z_reduced, H).
+    """
+    dims = [c + 1 for c in caps]
+    dim = int(np.prod(dims))
+    eyes = [np.eye(d) for d in dims]
+    ladders = [np.diag(np.sqrt(np.arange(1.0, d)), 1) for d in dims]
+    numbers = [np.diag(np.arange(float(d))) for d in dims]
+    positions = [a + a.T for a in ladders]
+
+    def embed(i, op):
+        return _kron_chain([op if j == i else eyes[j] for j in range(len(dims))])
+
+    h = OMEGA_S * embed(0, numbers[0])
+    for k in range(len(modes)):
+        h += modes.frequencies[k] * embed(k + 1, numbers[k + 1])
+        h += modes.couplings[k] * _kron_chain(
+            [positions[j] if j in (0, k + 1) else eyes[j]
+             for j in range(len(dims))])
+    if counterterm:
+        h += modes.counterterm_strength * embed(0, positions[0] @ positions[0])
+    w, u = np.linalg.eigh(h)
+    p = np.exp(-beta * (w - w[0]))
+    z = p.sum()
+    rho = (u * p) @ u.T / z
+    n = float(np.sum(embed(0, numbers[0]) * rho))
+    s = float(np.sum(embed(0, ladders[0] @ ladders[0]) * rho))
+    ln_z_total = (np.log(z) - beta * w[0]
+                  - beta * (OMEGA_S + np.sum(modes.frequencies)) / 2)
+    rest = dim // dims[0]
+    rho_s = rho.reshape(dims[0], rest, dims[0], rest).trace(axis1=1, axis2=3)
+    q = np.sort(np.linalg.eigvalsh(rho_s))[::-1]
+    ratio = q[1] / q[0]
+    return n, s, ln_z_total, np.log(np.sqrt(ratio) / (1 - ratio)), h
+
+
+class TestFockBlockAssembly:
+    """Parity-block Fock oracle against the dense total-space reference."""
+
+    CASES = [(ONE_MODE, [12, 12]), (TWO_MODES, [6, 4, 4])]
+
+    @pytest.mark.parametrize("counterterm", [False, True])
+    @pytest.mark.parametrize("modes, caps", CASES)
+    def test_matches_dense_reference(self, modes, caps, counterterm):
+        res = _fock_once(modes, 1.2, caps, counterterm)
+        n, s, ln_z_total, ln_z_reduced, _ = dense_fock(modes, 1.2, caps,
+                                                       counterterm)
+        assert abs(res.moments.occupation - n) < 1e-12
+        assert abs(res.moments.squeezing - s) < 1e-12
+        assert abs(res.ln_z_total - ln_z_total) < 1e-12
+        assert abs(res.ln_z_reduced - ln_z_reduced) < 1e-12
+
+    @pytest.mark.parametrize("counterterm", [False, True])
+    @pytest.mark.parametrize("modes, caps", CASES)
+    def test_blocks_match_dense_hamiltonian(self, modes, caps, counterterm):
+        # n, s and both ln Z are unchanged by the sign of one coupling (the
+        # bath parity (-1)^N_k flips it), so check the blocks entry by entry
+        dims = [c + 1 for c in caps]
+        h = dense_fock(modes, 1.2, caps, counterterm)[4]
+        covered = []
+        for parity in (0, 1):
+            flat, _ = _parity_states(dims, parity)
+            block = _block_hamiltonian(modes, dims, flat, counterterm)
+            np.testing.assert_allclose(block, h[np.ix_(flat, flat)],
+                                       rtol=0, atol=1e-13)
+            covered.append(flat)
+        assert np.array_equal(np.sort(np.concatenate(covered)),
+                              np.arange(len(h)))
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        # a single total-space dim x dim array would reach the bound
+        dim = 15 * 11 * 11
+        tracemalloc.start()
+        try:
+            fock_oracle(TWO_MODES, 1.2, (14, 10, 10), counterterm=True,
+                        check_truncation=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim**2 * 8
 
 
 class TestGaussianIntegralIdentity:
