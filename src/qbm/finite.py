@@ -2,9 +2,9 @@
 
 The total Gibbs state of system plus k_c bath modes is Gaussian; its
 coherent-state kernel blocks (Omega, Pi) follow in real arithmetic from the
-normal-mode Bogoliubov transform of the quadratic Hamiltonian, and the
-reduced kernel from an exact Gaussian partial trace.  A truncated Fock-space
-diagonalization provides a brute-force cross-check for one or two modes.
+normal-mode covariances of the quadratic Hamiltonian, and the reduced kernel
+from an exact Gaussian partial trace.  A truncated Fock-space diagonalization
+provides a brute-force cross-check for one or two modes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotri
 
 from .errors import (InvalidGrid, InvertedPotential, NonTraceable,
                      TruncationError, ZeroTemperature)
@@ -22,11 +22,11 @@ from .state import GaussianKernel, Moments, kernel_to_moments
 
 # reciprocal 1-norm condition estimate below which a block counts as singular
 _RCOND_FLOOR = 1e-14
-# Boltzmann factors exp(-beta Omega_j) below this are set to zero: the terms
-# they scale are below 1e-100 in size, and their products would otherwise
-# fill the matrix products with subnormal numbers, which run several times
-# slower
-_BOLTZMANN_FLOOR = 1e-100
+
+
+def _check_beta(beta: float) -> None:
+    if not beta > 0:    # also rejects NaN
+        raise InvalidGrid(f"beta must be positive, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class Generator:
     D and R follow the hand-construction convention with prefactor -beta/2:
     the Gibbs exponent in a faithful matrix representation is twice the block
     matrix [[D, R], [-R_hat, -D_tilde]].  ``total_gaussian`` does not
-    exponentiate it; it evaluates the same state from the normal modes of
-    ``modes`` at ``beta``.
+    exponentiate it; it evaluates the same state from the normal-mode
+    covariances of ``modes`` at ``beta``.
     """
 
     d: np.ndarray
@@ -63,8 +63,7 @@ def build_generator(modes: ModeList, beta: float,
     group (bath modes in reversed order, system last); the counterterm adds
     a system-frequency shift and a system-system pairing entry.
     """
-    if beta <= 0:
-        raise InvalidGrid("beta must be positive")
+    _check_beta(beta)
     kc = len(modes)
     n = kc + 1
     lam = modes.counterterm_strength if counterterm else 0.0
@@ -85,36 +84,35 @@ def build_generator(modes: ModeList, beta: float,
 def total_gaussian(gen: Generator) -> TotalGaussian:
     """Kernel blocks (Omega, Pi) of the total Gibbs state of ``gen``.
 
-    The normal modes c_j = At[j, i] a_i + Bt[j, i] a_i^dag with frequencies
-    Omega_j diagonalize the quadratic Hamiltonian, so the blocks follow from
-    the real Bogoliubov matrices (At, Bt) and exp(-beta Omega_j) without a
-    matrix exponential; they stay well-conditioned at any beta * Omega_max.
-    At^-1 comes from one LU factorization; At needs no guard, because
-    At At^T - Bt Bt^T = 1 keeps its singular values >= 1.
+    With the stiffness O diag(Omega_j^2) O^T, the bare frequencies
+    F = diag(1, w_k) and the normal-mode covariances
+    c_j = coth(beta Omega_j / 2) / 2, the bare quadratures X, P
+    (a = (X + iP)/sqrt 2) have covariances A = F^1/2 O diag(c/Omega) O^T F^1/2
+    and B = F^-1/2 O diag(c Omega) O^T F^-1/2, so that
+    1 + <a^dag a^T> +- <a a^T> = 1/2 + {A, B}.  The matrix form of
+    ``moments_to_kernel`` then gives Omega +- Pi = 1 - (1/2 + {A, B})^-1.
+    No matrix exponential is formed; large beta * Omega_max is harmless.
     """
-    modes, beta = gen.modes, gen.beta
-    n = len(modes) + 1
-    freqs = np.concatenate([[OMEGA_S], modes.frequencies])
+    modes = gen.modes
+    root = np.sqrt(np.concatenate([[OMEGA_S], modes.frequencies]))[:, None]
     ev, orth = np.linalg.eigh(_stiffness(modes, gen.counterterm))
     wj = _stable_frequencies(ev)
-    rt = np.sqrt(wj[None, :] / freqs[:, None])
-    at = (orth * (0.5 * (rt + 1.0 / rt))).T
-    bt = (orth * (0.5 * (rt - 1.0 / rt))).T
-    em = np.exp(-beta * wj)
-    em[em < _BOLTZMANN_FLOOR] = 0.0
-    lu, piv, _ = dgetrf(at)
-    c, _ = dgetrs(lu, piv, np.eye(n), trans=1)     # At^-T
-    qt = c @ bt.T                                   # Q^T with Q = Bt At^-1
-    y = em[:, None] * qt * em[None, :]
-    # Q (1 - Y Q)^-1 through the transposed system
-    q_iyq = np.linalg.solve(np.eye(n) - qt @ y.T, qt).T
-    xi = em[:, None] * q_iyq * em[None, :]
-    core = at.T - bt.T @ qt
-    pi = core @ xi @ c - bt.T @ c
-    xi_open = em[:, None] * q_iyq    # e^- Q (1 - YQ)^-1, right factor unscaled
-    omega = (at.T * em[None, :]) @ at + pi @ (bt.T * em[None, :]) @ at \
-        - core @ xi_open @ bt
-    return TotalGaussian(omega=omega, pi=pi)
+    c = 0.5 / np.tanh(gen.beta * wj / 2)
+    x, p = orth * root, orth / root
+    plus = _one_minus_shifted_inverse((x * (c / wj)) @ x.T)
+    minus = _one_minus_shifted_inverse((p * (c * wj)) @ p.T)
+    return TotalGaussian(omega=0.5 * (plus + minus), pi=0.5 * (plus - minus))
+
+
+def _one_minus_shifted_inverse(cov: np.ndarray) -> np.ndarray:
+    """1 - (1/2 + cov)^-1 by one Cholesky factorization; overwrites ``cov``."""
+    cov[np.diag_indices_from(cov)] += 0.5    # eigenvalues now >= 1/2
+    chol, info = dpotrf(cov, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"1/2 + covariance is not positive definite (dpotrf info {info})")
+    inv, _ = dpotri(chol, overwrite_c=True)   # fills the upper triangle only
+    return np.eye(len(inv)) - np.triu(inv) - np.triu(inv, 1).T
 
 
 def _guarded_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -202,14 +200,14 @@ def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.nd
 def log_partition_total(modes: ModeList, beta: float,
                         counterterm: bool = False) -> float:
     """ln Z of the total model: -sum_j ln[2 sinh(beta Omega_j / 2)]."""
+    _check_beta(beta)
     w = normal_mode_frequencies(modes, counterterm)
     return float(-np.sum(_log_2sinh_half(beta * w)))
 
 
 def log_partition_env(modes: ModeList, beta: float) -> float:
     """ln Z of the decoupled bath: -sum_k ln[2 sinh(beta w_k / 2)]."""
-    if beta <= 0:
-        raise InvalidGrid("beta must be positive")
+    _check_beta(beta)
     return float(-np.sum(_log_2sinh_half(beta * modes.frequencies)))
 
 
@@ -237,8 +235,7 @@ def moments_from_modes(modes: ModeList, beta: float,
     model) but reduces to a single symmetric eigenproblem; used as a fast
     route and as an independent cross-check of the kernel machinery.
     """
-    if beta <= 0:
-        raise InvalidGrid("beta must be positive")
+    _check_beta(beta)
     k = _stiffness(modes, counterterm)
     ev, orth = np.linalg.eigh(k)
     wj = _stable_frequencies(ev)
@@ -277,8 +274,7 @@ def fock_oracle(modes: ModeList, beta: float, n_max,
     The truncation error is estimated by re-running with every cap raised
     by ``truncation_delta``.
     """
-    if not beta > 0:
-        raise InvalidGrid("beta must be positive")
+    _check_beta(beta)
     kc = len(modes)
     if kc not in (1, 2):
         raise InvalidGrid("fock_oracle supports 1 or 2 bath modes")

@@ -10,6 +10,7 @@ where ``gamma`` is the dimensionless coupling strength and ``wc`` the cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,10 +104,19 @@ def discretize(cfg: SpectralConfig, k_c: int, omega_max: float) -> ModeList:
         raise InvalidGrid(f"k_c must be >= 1, got {k_c}")
     if omega_max <= 0:
         raise InvalidGrid(f"omega_max must be > 0, got {omega_max}")
-    xs, ws = np.polynomial.legendre.leggauss(k_c)
+    xs, ws = _gauss_legendre(k_c)
     nodes = 0.5 * omega_max * (xs + 1.0)
     weights = 0.5 * omega_max * ws
     j = eval_spectral_density(cfg, nodes)
     couplings = -np.sqrt(j * weights / (2 * np.pi))
     return ModeList(frequencies=nodes, couplings=couplings)
 
+
+# typed: a float k_c must miss the integer entries and fail in leggauss
+@functools.lru_cache(maxsize=16, typed=True)
+def _gauss_legendre(k_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(k_c)``, computed once per k_c; shared, so read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(k_c)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws

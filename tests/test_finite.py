@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from qbm import (InvalidGrid, InvertedPotential, ModeList, NonTraceable,
                  SpectralConfig, TruncationError, ZeroTemperature,
@@ -13,7 +14,7 @@ from qbm import (InvalidGrid, InvertedPotential, ModeList, NonTraceable,
                  normal_mode_frequencies, oracle_moments, reduced_partition,
                  total_gaussian)
 from qbm.finite import (TotalGaussian, _block_hamiltonian, _fock_once,
-                        _parity_states)
+                        _parity_states, _stable_frequencies, _stiffness)
 from qbm.spectral import OMEGA_S
 from qbm.state import Moments
 
@@ -84,6 +85,95 @@ class TestTotalGaussian:
         assert m_kern.occupation == pytest.approx(m_corr.occupation, rel=1e-11)
         assert m_kern.squeezing.real == pytest.approx(m_corr.squeezing.real,
                                                       rel=1e-11)
+
+
+def bogoliubov_total_gaussian(gen):
+    """Reference kernel blocks from the real Bogoliubov matrices.
+
+    The normal modes c_j = At[j, i] a_i + Bt[j, i] a_i^dag with frequencies
+    Omega_j give the blocks through Q = Bt At^-1 and (1 - Y Q)^-1 with
+    Y = e^- Q^T e^-, e^- = diag exp(-beta Omega_j).  Boltzmann factors below
+    1e-100 are set to zero, which keeps subnormal numbers out of the
+    products.
+    """
+    modes, beta = gen.modes, gen.beta
+    n = len(modes) + 1
+    freqs = np.concatenate([[OMEGA_S], modes.frequencies])
+    ev, orth = np.linalg.eigh(_stiffness(modes, gen.counterterm))
+    wj = _stable_frequencies(ev)
+    rt = np.sqrt(wj[None, :] / freqs[:, None])
+    at = (orth * (0.5 * (rt + 1.0 / rt))).T
+    bt = (orth * (0.5 * (rt - 1.0 / rt))).T
+    em = np.exp(-beta * wj)
+    em[em < 1e-100] = 0.0
+    lu, piv, _ = dgetrf(at)
+    c, _ = dgetrs(lu, piv, np.eye(n), trans=1)     # At^-T
+    qt = c @ bt.T                                   # Q^T with Q = Bt At^-1
+    y = em[:, None] * qt * em[None, :]
+    # Q (1 - Y Q)^-1 through the transposed system
+    q_iyq = np.linalg.solve(np.eye(n) - qt @ y.T, qt).T
+    xi = em[:, None] * q_iyq * em[None, :]
+    core = at.T - bt.T @ qt
+    pi = core @ xi @ c - bt.T @ c
+    xi_open = em[:, None] * q_iyq    # e^- Q (1 - YQ)^-1, right factor unscaled
+    omega = (at.T * em[None, :]) @ at + pi @ (bt.T * em[None, :]) @ at \
+        - core @ xi_open @ bt
+    return TotalGaussian(omega=omega, pi=pi)
+
+
+# (modes, beta, counterterm): random 4-mode lists, then discretized baths at
+# beta * Omega_max = 10 and 480; the uncompensated baths keep gamma * wc < 1
+COVARIANCE_CASES = [
+    *[pytest.param(random_modes(np.random.default_rng(seed), 4), beta, ct,
+                   id=f"random4-beta{beta}-ct{int(ct)}")
+      for seed, beta in ((11, 0.4), (12, 1.3), (13, 6.0))
+      for ct in (False, True)],
+    *[pytest.param(discretize(SpectralConfig(gamma, 20.0), k_c, omega_max),
+                   beta, ct, id=f"bath{k_c}-beta{beta}-gamma{gamma}-ct{int(ct)}")
+      for k_c, omega_max, beta in ((100, 100.0, 0.1), (120, 240.0, 2.0))
+      for gamma, ct in ((0.5, True), (0.04, False), (0.04, True))],
+]
+
+
+class TestCovarianceKernel:
+    """Covariance-form total kernel against the Bogoliubov reference."""
+
+    @pytest.mark.parametrize("modes, beta, counterterm", COVARIANCE_CASES)
+    def test_matches_bogoliubov_reference(self, modes, beta, counterterm):
+        gen = build_generator(modes, beta, counterterm)
+        tg, ref = total_gaussian(gen), bogoliubov_total_gaussian(gen)
+        np.testing.assert_allclose(tg.omega, ref.omega, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tg.pi, ref.pi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("modes, beta, counterterm", COVARIANCE_CASES)
+    def test_complements_positive_definite(self, modes, beta, counterterm):
+        # 1 - (Omega +- Pi) = (1/2 + covariance)^-1
+        tg = total_gaussian(build_generator(modes, beta, counterterm))
+        for block in (tg.omega + tg.pi, tg.omega - tg.pi):
+            comp = np.eye(len(block)) - block
+            np.testing.assert_array_equal(comp, comp.T)
+            ev = np.linalg.eigvalsh(comp)
+            assert ev[0] > 0 and ev[-1] <= 2
+
+    @pytest.mark.parametrize("counterterm", [False, True])
+    def test_saturated_blocks_independent_of_beta(self, counterterm):
+        # at beta * Omega_min >= 700 every coth(beta Omega_j / 2) is 1
+        modes = discretize(SpectralConfig(0.04, 20.0), 60, 200.0)
+        beta = 700.0 / normal_mode_frequencies(modes, counterterm)[0]
+        cold = total_gaussian(build_generator(modes, beta, counterterm))
+        colder = total_gaussian(build_generator(modes, 2 * beta, counterterm))
+        np.testing.assert_allclose(colder.omega, cold.omega, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(colder.pi, cold.pi, rtol=0, atol=1e-14)
+
+
+class TestBetaGuard:
+    @pytest.mark.parametrize("beta", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", [
+        build_generator, moments_from_modes, log_partition_total,
+        log_partition_env, oracle_moments])
+    def test_invalid_beta_rejected(self, entry, beta):
+        with pytest.raises(InvalidGrid, match="beta must be positive"):
+            entry(ONE_MODE, beta)
 
 
 class TestPartialTrace:

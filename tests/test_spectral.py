@@ -9,7 +9,7 @@ from scipy.special import sici
 
 from qbm import (InvalidGrid, ModeList, SpectralConfig, discretize,
                  eval_spectral_density)
-from qbm.spectral import bose_occupation
+from qbm.spectral import _gauss_legendre, bose_occupation
 
 from laplace_reference import BranchCut, DivergentKernel, kernel_g, self_energy
 
@@ -179,3 +179,33 @@ class TestDiscretize:
                      couplings=np.array([0.1, 0.1]))
         with pytest.raises(InvalidGrid):
             ModeList(frequencies=np.array([1.0]), couplings=np.array([0.1, 0.2]))
+
+
+class TestGaussLegendreCache:
+    @pytest.mark.parametrize("k_c", [1, 7, 100, 400])
+    def test_byte_identical_to_leggauss(self, k_c):
+        xs, ws = _gauss_legendre(k_c)
+        ref_xs, ref_ws = np.polynomial.legendre.leggauss(k_c)
+        assert xs.tobytes() == ref_xs.tobytes()
+        assert ws.tobytes() == ref_ws.tobytes()
+
+    def test_computed_once_and_read_only(self):
+        xs, ws = _gauss_legendre(50)
+        assert _gauss_legendre(50)[0] is xs
+        assert not xs.flags.writeable and not ws.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+
+    def test_mutating_modes_leaves_later_calls_intact(self):
+        fresh = discretize(CFG, 30, 200.0)
+        modes = discretize(CFG, 30, 200.0)
+        modes.frequencies[:] = 1.0
+        modes.couplings[:] = 1.0
+        again = discretize(CFG, 30, 200.0)
+        assert np.array_equal(again.frequencies, fresh.frequencies)
+        assert np.array_equal(again.couplings, fresh.couplings)
+
+    def test_non_integer_k_c_rejected(self):
+        discretize(CFG, 4, 200.0)
+        with pytest.raises(TypeError):
+            discretize(CFG, 4.0, 200.0)
