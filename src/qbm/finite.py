@@ -22,6 +22,10 @@ from .state import GaussianKernel, Moments, kernel_to_moments
 
 # reciprocal 1-norm condition estimate below which a block counts as singular
 _RCOND_FLOOR = 1e-14
+# sweep cap of the secular-equation root finder; 300 random discretized
+# baths (k_c = 100-400, counterterm on and off) took 5-10 sweeps
+_SECULAR_SWEEPS = 40
+_EPS = np.finfo(float).eps
 
 
 def _check_beta(beta: float) -> None:
@@ -95,8 +99,7 @@ def total_gaussian(gen: Generator) -> TotalGaussian:
     """
     modes = gen.modes
     root = np.sqrt(np.concatenate([[OMEGA_S], modes.frequencies]))[:, None]
-    ev, orth = np.linalg.eigh(_stiffness(modes, gen.counterterm))
-    wj = _stable_frequencies(ev)
+    wj, orth = _normal_modes(modes, gen.counterterm, vectors="all")
     c = 0.5 / np.tanh(gen.beta * wj / 2)
     x, p = orth * root, orth / root
     plus = _one_minus_shifted_inverse((x * (c / wj)) @ x.T)
@@ -172,29 +175,185 @@ def finite_kernel(modes: ModeList, beta: float,
     return kernel
 
 
-def _stiffness(modes: ModeList, counterterm: bool) -> np.ndarray:
-    lam = modes.counterterm_strength if counterterm else 0.0
-    freqs = np.concatenate([[OMEGA_S], modes.frequencies])
-    k = np.diag(freqs**2)
-    k[0, 0] += 4 * OMEGA_S * lam
-    coupling = 2 * modes.couplings * np.sqrt(OMEGA_S * modes.frequencies)
-    k[0, 1:] = coupling
-    k[1:, 0] = coupling
-    return k
+def _normal_modes(modes: ModeList, counterterm: bool,
+                  vectors: str | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending normal-mode frequencies and, by ``vectors``, the orthogonal O.
 
+    ``vectors`` is None, "system" for the system row O[0] only, or "all".
 
-def _stable_frequencies(ev: np.ndarray) -> np.ndarray:
-    """Square roots of ascending stiffness eigenvalues; the lowest must be > 0."""
-    if ev[0] <= 0:
+    The bath couples to the system only, so in mass-weighted coordinates the
+    stiffness is the arrowhead K = [[a, g^T], [g, diag(d)]] with
+    a = OMEGA_S^2 (+ 4 OMEGA_S lambda with the counterterm),
+    g_k = 2 V_k sqrt(OMEGA_S w_k) and d_k = w_k^2; K = O diag(Omega_j^2) O^T.
+    A bath mode with g_k^2 = 0 is the eigenpair (d_k, e_k); the other
+    eigenvalues are the roots of the secular equation (``_secular_roots``).
+    The eigenvectors [1; g_hat / (Omega_j^2 - d)] take the couplings g_hat of
+    the arrowhead whose exact eigenvalues are the computed roots (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), so O is
+    orthogonal to working accuracy.  Raises ``InvertedPotential`` when K is
+    not positive definite.
+    """
+    lam = modes.counterterm_strength
+    # K > 0 iff its Schur complement a - sum_k g_k^2 / d_k is positive, and
+    # that complement is OMEGA_S (OMEGA_S - 4 lambda): OMEGA_S^2 with the
+    # counterterm
+    schur = OMEGA_S**2 if counterterm else OMEGA_S * (OMEGA_S - 4 * lam)
+    if not schur > 0:
         raise InvertedPotential(
-            f"stiffness matrix has eigenvalue {ev[0]:.6e} <= 0 "
-            "(coupling too strong for the model without counterterm)")
-    return np.sqrt(ev)
+            f"stiffness is not positive definite: its Schur complement "
+            f"OMEGA_S (OMEGA_S - 4 lambda) = {schur:.6e} <= 0 (coupling too "
+            "strong for the model without counterterm)")
+    a = OMEGA_S**2 + (4 * OMEGA_S * lam if counterterm else 0.0)
+    g = 2 * modes.couplings * np.sqrt(OMEGA_S * modes.frequencies)
+    d = modes.frequencies**2
+    g2 = g**2
+    live = g2 > 0
+    dl = d[live]
+    sigma, tau = _secular_roots(a, schur, g2[live], dl)
+    w2 = np.concatenate([sigma + tau, d[~live]])
+    order = np.argsort(w2)
+    if vectors is None:
+        return np.sqrt(w2[order]), None
+    m = len(dl)
+    below = dl - sigma[:, None]
+    below -= tau[:, None]                     # d_k - Omega_j^2
+    # g_hat_k^2 = -prod_j (d_k - Omega_j^2) / prod_{i != k} (d_k - d_i).
+    # Pairing d_i with Omega_{i+1}^2 (i < k) or Omega_i^2 (i > k) along the
+    # interlacing Omega_0^2 < d_0 < Omega_1^2 < ... puts every factor in
+    # [0, 1), so the product cannot overflow and loses no digits to logs
+    factors = np.where(np.tri(m, k=-1, dtype=bool), below[1:].T, below[:-1].T)
+    gaps = dl[:, None] - dl
+    np.fill_diagonal(factors, 1.0)
+    np.fill_diagonal(gaps, 1.0)
+    factors /= gaps
+    g_hat = np.sign(g[live]) * np.sqrt(
+        below[0] * -below[m] * np.prod(factors, axis=1))
+    cols = np.divide(-g_hat, below, out=below)   # g_hat_k / (Omega_j^2 - d_k)
+    first = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", cols, cols))
+    if vectors == "system":
+        return np.sqrt(w2[order]), np.append(first, np.zeros(len(d) - m))[order]
+    cols *= first[:, None]
+    orth = np.zeros((len(d) + 1, len(d) + 1))
+    orth[0, :m + 1] = first
+    orth[1 + np.flatnonzero(live), :m + 1] = cols.T
+    dead = 1 + np.flatnonzero(~live)
+    orth[dead, m + 1 + np.arange(len(dead))] = 1.0
+    return np.sqrt(w2[order]), orth[:, order]
+
+
+def _secular_roots(a: float, schur: float, g2: np.ndarray,
+                   d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots sigma_j + tau_j of h(x) = a - x - sum_k g2_k / (d_k - x).
+
+    ``d`` is positive and strictly increasing, ``g2`` positive and
+    ``schur`` = a - sum_k g2_k / d_k > 0.  h falls between its poles, so
+    root 0 lies in (0, d_0), root j in (d_j-1, d_j) and root m above d_m-1.
+    Each root is found as its offset tau from the end sigma of its interval
+    that lies nearer to it (the sign of h at the midpoint decides), so every
+    difference sigma_j + tau_j - d_k keeps its relative accuracy.  A lowest
+    root below d_0 / 2 comes from ``_lowest_root``.
+
+    From a pole p_o, with offsets delta_k = d_k - p_o,
+    h = r(tau) + g2_o / tau, r = a - p_o - tau - sum_{k != o} g2_k / (delta_k - tau).
+    Newton runs on q = tau r + g2_o, which is smooth through the pole, from
+    the secant of q through tau = 0 and the midpoint, inside a bracket that
+    every evaluation narrows; a step that leaves the bracket bisects it.  A
+    root stops when |h| is within its rounding-error bound (as in LAPACK
+    dlaed4) or its bracket is a few ulps wide.  Raises ``LinAlgError`` after
+    ``_SECULAR_SWEEPS`` sweeps.
+    """
+    m = len(d)
+    if m == 0:
+        return np.zeros(1), np.array([a])
+    poles = np.concatenate([[0.0], d])
+    weights = np.concatenate([[0.0], g2])
+    offsets = poles - poles[:, None]          # offsets[o, k] = p_k - p_o
+    np.fill_diagonal(offsets, np.inf)         # the origin's own term stays apart
+    work = np.empty_like(offsets)
+    # h at the midpoint of each interval (p_j, p_j+1), from its left end; from
+    # the end 0 in the form schur - x (1 + sum_k g2_k / (d_k (d_k - x)))
+    half = 0.5 * np.diff(poles)
+    inv = np.subtract(offsets[:m], half[:, None], out=work[:m])
+    np.reciprocal(inv, out=inv)
+    mid = a - poles[:m] - half - inv @ weights + weights[:m] / half
+    mid[0] = schur - half[0] * (1.0 + inv[0, 1:] @ (g2 / d))
+    right = mid >= 0
+    origin = np.arange(m + 1)
+    origin[:m] += right
+    offsets[:m][right] = offsets[1:][right]   # row j now belongs to root j
+    lo, hi = np.zeros(m + 1), np.zeros(m + 1)
+    lo[:m] = np.where(right, -half, 0.0)
+    hi[:m] = np.where(right, 0.0, half)
+    # twice the Weyl bound max(a, d_max) + |g| on the top root, taken as an
+    # offset from d_max so that a tiny |g| does not round away
+    hi[m] = 2 * (max(a - d[-1], 0.0) + np.sqrt(np.sum(g2)))
+    sigma, g2o = poles[origin], weights[origin]
+    c = a - sigma
+    # secant of q through (0, g2_o) and the midpoint; the top root bisects
+    t_mid = np.where(right, -half, half)
+    step = np.append(g2o[:m] * t_mid / (g2o[:m] - t_mid * mid), 0.5 * hi[m])
+
+    tau = np.empty(m + 1)
+    first = int(not right[0])
+    if first:
+        tau[0] = _lowest_root(schur, g2, d, half[0])
+    active, offsets, step = np.arange(first, m + 1), offsets[first:], step[first:]
+    for _ in range(_SECULAR_SWEEPS):
+        lo_a, hi_a, g2a = lo[active], hi[active], g2o[active]
+        t = np.where((step > lo_a) & (step < hi_a), step, 0.5 * (lo_a + hi_a))
+        inv = np.subtract(offsets, t[:, None], out=work[:len(t)])
+        np.reciprocal(inv, out=inv)           # 1 / (delta_k - tau)
+        r = c[active] - t - inv @ weights
+        size = np.abs(inv, out=inv) @ weights
+        dr = -1.0 - np.square(inv, out=inv) @ weights
+        pole = g2a / t
+        h = r + pole
+        # rounding bound of h, plus |tau h'| for the rounding of tau itself
+        bound = _EPS * (8 * (np.abs(c[active]) + np.abs(t) + size + np.abs(pole))
+                        + np.abs(t * dr - pole))
+        right = h > 0
+        lo_a, hi_a = np.where(right, t, lo_a), np.where(right, hi_a, t)
+        lo[active], hi[active] = lo_a, hi_a
+        done = (np.abs(h) <= bound) | (
+            hi_a - lo_a <= 4 * _EPS * np.maximum(np.abs(lo_a), np.abs(hi_a)))
+        tau[active[done]] = t[done]
+        if done.all():
+            return sigma, tau
+        if done.any():
+            keep = ~done
+            active, offsets = active[keep], offsets[keep]
+            t, r, dr, g2a = t[keep], r[keep], dr[keep], g2a[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # tau - q / q' without the cancellation of the two tau
+            step = (t * t * dr - g2a) / (r + t * dr)
+    raise np.linalg.LinAlgError(
+        f"{len(active)} of {m + 1} secular roots did not converge in "
+        f"{_SECULAR_SWEEPS} sweeps")
+
+
+def _lowest_root(schur: float, g2: np.ndarray, d: np.ndarray, x: float) -> float:
+    """Root below ``x`` of f = schur - x (1 + sum_k g2_k / (d_k (d_k - x))).
+
+    This is h rewritten with its Schur complement, so the root keeps its
+    relative accuracy however small it is.  f is concave and falling on
+    (0, d_0), so Newton from an x where f < 0 decreases monotonically onto
+    the root.
+    """
+    y = g2 / d
+    for _ in range(_SECULAR_SWEEPS):
+        inv = 1.0 / (d - x)
+        u = 1.0 + y @ inv
+        step = (schur - x * u) / (u + x * (y @ inv**2))
+        x += step
+        if step >= -4 * _EPS * x:
+            return x
+    raise np.linalg.LinAlgError(
+        f"the lowest secular root did not converge in {_SECULAR_SWEEPS} steps")
 
 
 def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.ndarray:
     """Eigenfrequencies of the coupled stiffness matrix, sorted ascending."""
-    return _stable_frequencies(np.linalg.eigvalsh(_stiffness(modes, counterterm)))
+    return _normal_modes(modes, counterterm)[0]
 
 
 def log_partition_total(modes: ModeList, beta: float,
@@ -236,11 +395,9 @@ def moments_from_modes(modes: ModeList, beta: float,
     route and as an independent cross-check of the kernel machinery.
     """
     _check_beta(beta)
-    k = _stiffness(modes, counterterm)
-    ev, orth = np.linalg.eigh(k)
-    wj = _stable_frequencies(ev)
+    wj, system_row = _normal_modes(modes, counterterm, vectors="system")
     coth = 1.0 / np.tanh(np.minimum(beta * wj / 2, 350.0))
-    weight = orth[0]**2 * coth
+    weight = system_row**2 * coth
     x2 = float(np.sum(weight / (2 * wj)))
     p2 = float(np.sum(weight * wj / 2))
     n = 0.5 * (OMEGA_S * x2 + p2 / OMEGA_S) - 0.5

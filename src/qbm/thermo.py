@@ -94,17 +94,17 @@ def heat_capacity_incomplete(mode: str, h: ReducedHamiltonian,
     return heat_capacity_exact(freq, temperature)
 
 
-def _mode_coth_sum(freqs: np.ndarray, beta: float) -> float:
-    x = np.minimum(beta * freqs / 2, 350.0)
-    return float(np.sum(freqs / 2 / np.tanh(x)))
+def _mode_coth_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    x = np.minimum(betas[:, None] * freqs / 2, 350.0)
+    return np.sum(freqs / 2 / np.tanh(x), axis=1)
 
 
-def _mode_csch2_sum(freqs: np.ndarray, beta: float) -> float:
-    x = beta * freqs / 2
+def _mode_csch2_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    x = betas[:, None] * freqs / 2
     mask = x < 350.0
     val = np.zeros_like(x)
     val[mask] = (x[mask] / np.sinh(x[mask]))**2
-    return float(np.sum(val))
+    return np.sum(val, axis=1)
 
 
 def naive_curves(modes: ModeList, betas,
@@ -112,14 +112,15 @@ def naive_curves(modes: ModeList, betas,
     """Naive U and C at each beta from one normal-mode decomposition.
 
     U comes from Z_S = Z_tot/Z_E as per-mode coth sums of system-plus-bath
-    minus bath; C is its analytic temperature derivative.
+    minus bath; C is its analytic temperature derivative.  Each sum is one
+    (len(betas), modes) evaluation.
     """
     freqs = normal_mode_frequencies(modes, counterterm)
     bath = modes.frequencies
-    energies = [_mode_coth_sum(freqs, b) - _mode_coth_sum(bath, b) for b in betas]
-    capacities = [_mode_csch2_sum(freqs, b) - _mode_csch2_sum(bath, b)
-                  for b in betas]
-    return energies, capacities
+    betas = np.asarray(betas, dtype=float)
+    energies = _mode_coth_sums(freqs, betas) - _mode_coth_sums(bath, betas)
+    capacities = _mode_csch2_sums(freqs, betas) - _mode_csch2_sums(bath, betas)
+    return energies.tolist(), capacities.tolist()
 
 
 def naive_internal_energy(modes: ModeList, beta: float,

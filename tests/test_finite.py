@@ -1,10 +1,14 @@
 """Finite-mode Gaussian machinery against hand constructions and Fock space."""
 
+import functools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
+
+import qbm.finite
 
 from qbm import (InvalidGrid, InvertedPotential, ModeList, NonTraceable,
                  SpectralConfig, TruncationError, ZeroTemperature,
@@ -14,9 +18,12 @@ from qbm import (InvalidGrid, InvertedPotential, ModeList, NonTraceable,
                  normal_mode_frequencies, oracle_moments, reduced_partition,
                  total_gaussian)
 from qbm.finite import (TotalGaussian, _block_hamiltonian, _fock_once,
-                        _parity_states, _stable_frequencies, _stiffness)
+                        _normal_modes, _parity_states)
 from qbm.spectral import OMEGA_S
 from qbm.state import Moments
+from secular_reference import moments as secular_moments
+from secular_reference import normal_modes as secular_reference_modes
+from secular_reference import total_blocks as secular_total_blocks
 
 ONE_MODE = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.3]))
 TWO_MODES = ModeList(frequencies=np.array([1.6, 2.3]),
@@ -27,6 +34,15 @@ def random_modes(rng, k_c, coupling_scale=0.3):
     freqs = np.sort(0.8 + 2.2 * rng.random(k_c))
     coups = coupling_scale * (rng.random(k_c) - 0.5)
     return ModeList(frequencies=freqs, couplings=coups)
+
+
+def dense_stiffness(modes, counterterm):
+    """Mass-weighted stiffness [[a, g^T], [g, diag(w_k^2)]] as a dense matrix."""
+    lam = modes.counterterm_strength if counterterm else 0.0
+    k = np.diag(np.concatenate([[OMEGA_S], modes.frequencies])**2)
+    k[0, 0] += 4 * OMEGA_S * lam
+    k[0, 1:] = k[1:, 0] = 2 * modes.couplings * np.sqrt(OMEGA_S * modes.frequencies)
+    return k
 
 
 class TestGenerator:
@@ -87,20 +103,21 @@ class TestTotalGaussian:
                                                       rel=1e-11)
 
 
-def bogoliubov_total_gaussian(gen):
+def bogoliubov_total_gaussian(gen, wj, orth):
     """Reference kernel blocks from the real Bogoliubov matrices.
 
     The normal modes c_j = At[j, i] a_i + Bt[j, i] a_i^dag with frequencies
-    Omega_j give the blocks through Q = Bt At^-1 and (1 - Y Q)^-1 with
-    Y = e^- Q^T e^-, e^- = diag exp(-beta Omega_j).  Boltzmann factors below
-    1e-100 are set to zero, which keeps subnormal numbers out of the
-    products.
+    Omega_j = ``wj`` and stiffness eigenvectors ``orth`` give the blocks
+    through Q = Bt At^-1 and (1 - Y Q)^-1 with Y = e^- Q^T e^-,
+    e^- = diag exp(-beta Omega_j).  The caller passes the normal modes, so
+    this checks the covariance algebra of ``total_gaussian`` against the
+    Bogoliubov algebra, not one eigensolver against another.  Boltzmann
+    factors below 1e-100 are set to zero, which keeps subnormal numbers out
+    of the products.
     """
     modes, beta = gen.modes, gen.beta
     n = len(modes) + 1
     freqs = np.concatenate([[OMEGA_S], modes.frequencies])
-    ev, orth = np.linalg.eigh(_stiffness(modes, gen.counterterm))
-    wj = _stable_frequencies(ev)
     rt = np.sqrt(wj[None, :] / freqs[:, None])
     at = (orth * (0.5 * (rt + 1.0 / rt))).T
     bt = (orth * (0.5 * (rt - 1.0 / rt))).T
@@ -141,7 +158,9 @@ class TestCovarianceKernel:
     @pytest.mark.parametrize("modes, beta, counterterm", COVARIANCE_CASES)
     def test_matches_bogoliubov_reference(self, modes, beta, counterterm):
         gen = build_generator(modes, beta, counterterm)
-        tg, ref = total_gaussian(gen), bogoliubov_total_gaussian(gen)
+        ref = bogoliubov_total_gaussian(
+            gen, *_normal_modes(modes, counterterm, vectors="all"))
+        tg = total_gaussian(gen)
         np.testing.assert_allclose(tg.omega, ref.omega, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tg.pi, ref.pi, rtol=0, atol=1e-12)
 
@@ -229,18 +248,25 @@ class TestPartialTrace:
 
 class TestNormalModes:
     def test_decoupled(self):
-        modes = ModeList(frequencies=np.array([2.0, 3.0]),
-                         couplings=np.array([0.0, 0.0]))
-        np.testing.assert_allclose(normal_mode_frequencies(modes),
-                                   [1.0, 2.0, 3.0])
+        # zero couplings deflate exactly to the bare modes, sorted in
+        modes = ModeList(frequencies=np.array([0.5, 1.5, 2.5]),
+                         couplings=np.zeros(3))
+        for counterterm in (False, True):
+            w, orth = _normal_modes(modes, counterterm, vectors="all")
+            np.testing.assert_array_equal(w, [0.5, 1.0, 1.5, 2.5])
+            np.testing.assert_array_equal(orth, np.eye(4)[:, [1, 0, 2, 3]])
 
     def test_two_by_two_closed_form(self):
-        w = normal_mode_frequencies(ONE_MODE)
+        w, orth = _normal_modes(ONE_MODE, False, vectors="all")
         k01 = 2 * 0.3 * np.sqrt(2.0)
         tr, det = 1.0 + 4.0, 1.0 * 4.0 - k01**2
         lam = np.array([tr / 2 - np.sqrt(tr**2 / 4 - det),
                         tr / 2 + np.sqrt(tr**2 / 4 - det)])
         np.testing.assert_allclose(w, np.sqrt(lam), rtol=1e-12)
+        # rotation by t with tan 2t = 2 K_01 / (K_11 - K_00), up to signs
+        t = 0.5 * np.arctan2(2 * k01, 4.0 - 1.0)
+        rotation = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+        np.testing.assert_allclose(np.abs(orth), np.abs(rotation), atol=1e-15)
 
     def test_trace_sum_rule(self):
         rng = np.random.default_rng(4)
@@ -257,6 +283,166 @@ class TestNormalModes:
             total_gaussian(build_generator(modes, 1.0))
         # counterterm restores stability for the same couplings
         normal_mode_frequencies(modes, counterterm=True)
+
+
+def edge_gamma(cutoff, k_c, omega_max):
+    """Coupling at which the uncompensated discretized bath loses stability.
+
+    lambda = sum V_k^2 / w_k is linear in gamma, and the stiffness is
+    positive definite iff OMEGA_S - 4 lambda > 0.
+    """
+    unit = discretize(SpectralConfig(1.0, cutoff), k_c, omega_max)
+    return OMEGA_S / (4 * unit.counterterm_strength)
+
+
+@functools.lru_cache(maxsize=None)
+def secular_reference(gamma, cutoff, k_c, omega_max, counterterm):
+    modes = discretize(SpectralConfig(gamma, cutoff), k_c, omega_max)
+    start = normal_mode_frequencies(modes, counterterm)**2
+    return modes, secular_reference_modes(modes, counterterm, start)
+
+
+# (gamma, cutoff, k_c, omega_max, counterterm, beta); the third bath is the
+# uncompensated one at gamma * cutoff = 0.9
+REFERENCE_BATHS = [
+    pytest.param(0.5, 20.0, 100, 100.0, True, 0.1, id="bath100-ct1"),
+    pytest.param(0.5, 20.0, 120, 240.0, True, 2.0, id="bath120-ct1"),
+    pytest.param(0.045, 20.0, 100, 200.0, False, 1.0, id="bath100-gwc0.9-ct0"),
+    pytest.param(0.04, 20.0, 150, 200.0, False, 2.0, id="bath150-ct0"),
+]
+
+
+class TestSecularModes:
+    """Arrowhead normal modes against 30-digit references and dense LAPACK."""
+
+    @pytest.mark.parametrize("gamma, cutoff, k_c, omega_max, counterterm, beta",
+                             REFERENCE_BATHS)
+    def test_frequencies_match_30_digit_roots(self, gamma, cutoff, k_c,
+                                              omega_max, counterterm, beta):
+        modes, (roots, _) = secular_reference(gamma, cutoff, k_c, omega_max,
+                                              counterterm)
+        ref = np.array([float(mpmath.sqrt(x)) for x in roots])
+        w = normal_mode_frequencies(modes, counterterm)
+        np.testing.assert_allclose(w, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("gamma, cutoff, k_c, omega_max, counterterm, beta",
+                             REFERENCE_BATHS)
+    def test_moments_match_30_digit_modes(self, gamma, cutoff, k_c, omega_max,
+                                          counterterm, beta):
+        # n and s are differences of positive sums of size about n + 1/2
+        modes, (roots, weights) = secular_reference(gamma, cutoff, k_c,
+                                                    omega_max, counterterm)
+        n_ref, s_ref = (float(x) for x in
+                        secular_moments(roots, weights, beta))
+        m = moments_from_modes(modes, beta, counterterm)
+        scale = 1e-13 * (n_ref + 0.5)
+        assert abs(m.occupation - n_ref) <= scale
+        assert abs(m.squeezing.real - s_ref) <= scale
+
+    @pytest.mark.parametrize("modes, beta, counterterm", [
+        pytest.param(discretize(SpectralConfig(0.5, 20.0), 30, 100.0), 2.0,
+                     True, id="bath30-ct1"),
+        pytest.param(random_modes(np.random.default_rng(21), 6), 0.7, False,
+                     id="random6-ct0"),
+    ])
+    def test_total_gaussian_matches_30_digit_blocks(self, modes, beta,
+                                                    counterterm):
+        start = normal_mode_frequencies(modes, counterterm)**2
+        omega, pi = secular_total_blocks(modes, beta, counterterm, start)
+        tg = total_gaussian(build_generator(modes, beta, counterterm))
+        np.testing.assert_allclose(tg.omega, omega, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tg.pi, pi, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gamma, cutoff, counterterm", [
+        (0.5, 20.0, True), (1.0, 40.0, True), (0.04, 20.0, False)])
+    def test_large_bath_properties(self, gamma, cutoff, counterterm):
+        modes = discretize(SpectralConfig(gamma, cutoff), 400, 10 * cutoff * 4)
+        k = dense_stiffness(modes, counterterm)
+        w, orth = _normal_modes(modes, counterterm, vectors="all")
+        n, eps, norm = len(w), np.finfo(float).eps, np.linalg.norm(k, 2)
+        # LAPACK is backward stable: its eigenvalues are off by O(eps |K|)
+        assert np.max(np.abs(w**2 - np.linalg.eigvalsh(k))) <= 32 * eps * norm
+        assert np.max(np.abs(orth.T @ orth - np.eye(n))) <= n * eps
+        assert np.max(np.abs(k @ orth - orth * w**2)) <= n * eps * norm
+        assert np.all(np.diff(w) > 0)
+
+    @pytest.mark.parametrize("kind", ["clustered", "tiny-couplings", "wide-range"])
+    def test_hard_mode_lists(self, kind):
+        # a cluster of poles around OMEGA_S with the outer roots far from it;
+        # couplings down to 1e-150 next to zero ones; frequencies over nine
+        # decades
+        rng = np.random.default_rng(17)
+        if kind == "clustered":
+            freqs = 1.0 + np.cumsum(rng.uniform(1e-9, 1e-6, 30))
+            coups = rng.normal(0, 0.05, 30)
+        elif kind == "tiny-couplings":
+            freqs = np.sort(rng.uniform(0.1, 5.0, 30))
+            coups = rng.normal(0, 1, 30) * 10.0**rng.integers(-150, 0, 30)
+            coups[::4] = 0.0
+        else:
+            freqs = np.sort(10.0**rng.uniform(-4, 5, 30))
+            coups = 0.05 * rng.normal(0, 1, 30) * np.sqrt(freqs)
+        modes = ModeList(frequencies=freqs, couplings=coups)
+        for counterterm in (False, True):
+            k = dense_stiffness(modes, counterterm)
+            w, orth = _normal_modes(modes, counterterm, vectors="all")
+            n, eps, norm = len(w), np.finfo(float).eps, np.linalg.norm(k, 2)
+            assert np.max(np.abs(w**2 - np.linalg.eigvalsh(k))) <= 32 * eps * norm
+            assert np.max(np.abs(orth.T @ orth - np.eye(n))) <= n * eps
+            assert np.max(np.abs(k @ orth - orth * w**2)) <= n * eps * norm
+
+    def test_some_zero_couplings(self):
+        modes = ModeList(frequencies=np.array([0.5, 1.2, 1.5, 2.5]),
+                         couplings=np.array([0.1, 0.0, -0.2, 0.0]))
+        k = dense_stiffness(modes, False)
+        w, orth = _normal_modes(modes, False, vectors="all")
+        tol = 8 * np.finfo(float).eps
+        norm = np.linalg.norm(k, 2)
+        assert 1.2 in w and 2.5 in w
+        np.testing.assert_allclose(w**2, np.linalg.eigvalsh(k), rtol=0,
+                                   atol=tol * norm)
+        np.testing.assert_allclose(orth.T @ orth, np.eye(5), atol=tol)
+        np.testing.assert_allclose(k @ orth, orth * w**2, atol=tol * norm)
+        _, system_row = _normal_modes(modes, False, vectors="system")
+        np.testing.assert_array_equal(system_row, orth[0])
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        modes = discretize(SpectralConfig(0.5, 20.0), 40, 100.0)
+        monkeypatch.setattr(qbm.finite, "_SECULAR_SWEEPS", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1"):
+            normal_mode_frequencies(modes, True)
+
+
+class TestStabilityEdge:
+    """The exact Schur-complement test on both sides of gamma * cutoff -> 1."""
+
+    EDGE = (20.0, 100, 200.0)
+
+    def test_just_below_the_edge(self):
+        gamma = edge_gamma(*self.EDGE) * (1 - 1e-9)
+        modes = discretize(SpectralConfig(gamma, 20.0), 100, 200.0)
+        schur = OMEGA_S * (OMEGA_S - 4 * modes.counterterm_strength)
+        assert 0 < schur < 1e-8
+        w = normal_mode_frequencies(modes)
+        assert np.all(np.isfinite(w)) and w[0] > 0
+        # det K = schur * prod_k w_k^2: only a lowest root with its relative
+        # accuracy intact satisfies it
+        log_det = 2 * np.sum(np.log(w)) - 2 * np.sum(np.log(modes.frequencies))
+        assert log_det == pytest.approx(np.log(schur), abs=1e-11)
+        moments_from_modes(modes, 1.0)
+
+    def test_just_above_the_edge(self):
+        gamma = edge_gamma(*self.EDGE) * (1 + 1e-9)
+        modes = discretize(SpectralConfig(gamma, 20.0), 100, 200.0)
+        for call in (lambda: normal_mode_frequencies(modes),
+                     lambda: moments_from_modes(modes, 1.0),
+                     lambda: log_partition_total(modes, 1.0),
+                     lambda: total_gaussian(build_generator(modes, 1.0))):
+            with pytest.raises(InvertedPotential,
+                               match=r"Schur complement .* = -\d\.\d+e-\d+ <= 0"):
+                call()
+        # the counterterm makes the same couplings stable
+        assert normal_mode_frequencies(modes, counterterm=True)[0] > 0
 
 
 class TestPartitions:
