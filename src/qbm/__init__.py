@@ -18,11 +18,11 @@ from .spectral import (OMEGA_S, ModeList, SpectralConfig, discretize,
 from .state import (GaussianKernel, Moments, kernel_to_moments,
                     moments_to_kernel)
 from .continuum import matsubara_moments, solve_kernel, solve_moments
-from .finite import (FockResult, Generator, TotalGaussian, build_generator,
-                     finite_kernel, fock_oracle, gaussian_partial_trace,
-                     log_partition_env, log_partition_total,
-                     moments_from_modes, normal_mode_frequencies,
-                     oracle_moments, reduced_partition, total_gaussian)
+from .finite import (FockResult, TotalGaussian, fock_oracle,
+                     gaussian_partial_trace, log_partition_env,
+                     log_partition_total, moments_from_modes,
+                     normal_mode_frequencies, oracle_moments,
+                     reduced_partition, total_gaussian)
 from .gibbs import (BogoliubovFrame, GibbsCoefficients, PositionForm,
                     ReducedHamiltonian, bogoliubov, coordinate_transform,
                     extended_bose_einstein, gibbs_coefficients,
@@ -31,5 +31,4 @@ from .gibbs import (BogoliubovFrame, GibbsCoefficients, PositionForm,
 from .thermo import (ThermoPoint, exact_point, heat_capacity_exact,
                      heat_capacity_incomplete, internal_energy_hamiltonian,
                      internal_energy_partition, naive_curves,
-                     naive_heat_capacity, naive_internal_energy,
                      reduced_hamiltonian_at, sweep)

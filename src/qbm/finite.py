@@ -1,10 +1,11 @@
 """Ground-truth computations for a bath discretized into a finite mode list.
 
-The total Gibbs state of system plus k_c bath modes is Gaussian; its
-coherent-state kernel blocks (Omega, Pi) follow in real arithmetic from the
-normal-mode covariances of the quadratic Hamiltonian, and the reduced kernel
-from an exact Gaussian partial trace.  A truncated Fock-space diagonalization
-provides a brute-force cross-check for one or two modes.
+The total Gibbs state of system plus k_c bath modes is Gaussian; the
+complements 1 - (Omega +- Pi) of its coherent-state kernel follow in real
+arithmetic from the normal-mode covariances of the quadratic Hamiltonian,
+and the reduced moments from an exact Gaussian partial trace of them.  A
+truncated Fock-space diagonalization provides a brute-force cross-check for
+one or two modes.
 """
 
 from __future__ import annotations
@@ -13,18 +14,21 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotri
+from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
 
-from .errors import (InvalidGrid, InvertedPotential, NonTraceable,
-                     TruncationError, ZeroTemperature)
+from .errors import (InvalidGrid, InvertedPotential, NonNormalizable,
+                     NonTraceable, TruncationError, ZeroTemperature)
 from .spectral import OMEGA_S, ModeList
-from .state import GaussianKernel, Moments, kernel_to_moments
+from .state import Moments
 
 # reciprocal 1-norm condition estimate below which a block counts as singular
 _RCOND_FLOOR = 1e-14
 # sweep cap of the secular-equation root finder; 300 random discretized
 # baths (k_c = 100-400, counterterm on and off) took 5-10 sweeps
 _SECULAR_SWEEPS = 40
+# largest change of n, s or ln Z_red that ``fock_oracle`` accepts when its
+# occupation caps are raised
+_TRUNCATION_TOL = 1e-5
 _EPS = np.finfo(float).eps
 
 
@@ -34,59 +38,20 @@ def _check_beta(beta: float) -> None:
 
 
 @dataclass(frozen=True)
-class Generator:
-    """Half-generator blocks (D, R) of the total Gibbs Gaussian.
-
-    D and R follow the hand-construction convention with prefactor -beta/2:
-    the Gibbs exponent in a faithful matrix representation is twice the block
-    matrix [[D, R], [-R_hat, -D_tilde]].  ``total_gaussian`` does not
-    exponentiate it; it evaluates the same state from the normal-mode
-    covariances of ``modes`` at ``beta``.
-    """
-
-    d: np.ndarray
-    r: np.ndarray
-    modes: ModeList
-    beta: float
-    counterterm: bool
-
-
-@dataclass(frozen=True)
 class TotalGaussian:
-    """Real kernel blocks of the total Gaussian state, system index first."""
+    """Complements C+- = 1 - (Omega +- Pi) of the total Gibbs kernel.
 
-    omega: np.ndarray
-    pi: np.ndarray
-
-
-def build_generator(modes: ModeList, beta: float,
-                    counterterm: bool = False) -> Generator:
-    """Populate the half-generator blocks for the given mode list.
-
-    Column order of R follows the reflected layout of the second operator
-    group (bath modes in reversed order, system last); the counterterm adds
-    a system-frequency shift and a system-system pairing entry.
+    System index first.  Both are symmetric positive definite; only their
+    upper triangles are stored, and the strict lower triangles are zero.
     """
-    _check_beta(beta)
-    kc = len(modes)
-    n = kc + 1
-    lam = modes.counterterm_strength if counterterm else 0.0
-    d = np.zeros((n, n))
-    d[0, 0] = OMEGA_S + 2 * lam
-    d[0, 1:] = modes.couplings
-    d[1:, 0] = modes.couplings
-    d[np.arange(1, n), np.arange(1, n)] = modes.frequencies
-    r = np.zeros((n, n))
-    r[0, :kc] = modes.couplings[::-1]
-    r[1:, kc] = modes.couplings
-    r[0, kc] = 2 * lam
-    scale = -beta / 2.0
-    return Generator(d=scale * d, r=scale * r, modes=modes, beta=beta,
-                     counterterm=counterterm)
+
+    plus: np.ndarray
+    minus: np.ndarray
 
 
-def total_gaussian(gen: Generator) -> TotalGaussian:
-    """Kernel blocks (Omega, Pi) of the total Gibbs state of ``gen``.
+def total_gaussian(modes: ModeList, beta: float,
+                   counterterm: bool = False) -> TotalGaussian:
+    """Kernel complements C+- of the total Gibbs state of system plus bath.
 
     With the stiffness O diag(Omega_j^2) O^T, the bare frequencies
     F = diag(1, w_k) and the normal-mode covariances
@@ -94,85 +59,79 @@ def total_gaussian(gen: Generator) -> TotalGaussian:
     (a = (X + iP)/sqrt 2) have covariances A = F^1/2 O diag(c/Omega) O^T F^1/2
     and B = F^-1/2 O diag(c Omega) O^T F^-1/2, so that
     1 + <a^dag a^T> +- <a a^T> = 1/2 + {A, B}.  The matrix form of
-    ``moments_to_kernel`` then gives Omega +- Pi = 1 - (1/2 + {A, B})^-1.
+    ``moments_to_kernel`` then gives C+ = (1/2 + A)^-1 and C- = (1/2 + B)^-1.
     No matrix exponential is formed; large beta * Omega_max is harmless.
     """
-    modes = gen.modes
+    _check_beta(beta)
     root = np.sqrt(np.concatenate([[OMEGA_S], modes.frequencies]))[:, None]
-    wj, orth = _normal_modes(modes, gen.counterterm, vectors="all")
-    c = 0.5 / np.tanh(gen.beta * wj / 2)
+    wj, orth = _normal_modes(modes, counterterm, vectors="all")
+    c = 0.5 / np.tanh(beta * wj / 2)
     x, p = orth * root, orth / root
-    plus = _one_minus_shifted_inverse((x * (c / wj)) @ x.T)
-    minus = _one_minus_shifted_inverse((p * (c * wj)) @ p.T)
-    return TotalGaussian(omega=0.5 * (plus + minus), pi=0.5 * (plus - minus))
+    return TotalGaussian(plus=_shifted_inverse((x * (c / wj)) @ x.T),
+                         minus=_shifted_inverse((p * (c * wj)) @ p.T))
 
 
-def _one_minus_shifted_inverse(cov: np.ndarray) -> np.ndarray:
-    """1 - (1/2 + cov)^-1 by one Cholesky factorization; overwrites ``cov``."""
+def _shifted_inverse(cov: np.ndarray) -> np.ndarray:
+    """Upper triangle of (1/2 + cov)^-1 by one Cholesky; overwrites ``cov``.
+
+    The strict lower triangle of the result is zero.
+    """
     cov[np.diag_indices_from(cov)] += 0.5    # eigenvalues now >= 1/2
-    chol, info = dpotrf(cov, overwrite_a=True)
+    # cov is symmetric, so its transpose is the same matrix in Fortran order
+    # and LAPACK works in place
+    chol, info = dpotrf(cov.T, overwrite_a=True)   # zeroes the lower triangle
     if info != 0:
         raise np.linalg.LinAlgError(
             f"1/2 + covariance is not positive definite (dpotrf info {info})")
     inv, _ = dpotri(chol, overwrite_c=True)   # fills the upper triangle only
-    return np.eye(len(inv)) - np.triu(inv) - np.triu(inv, 1).T
+    return inv
 
 
-def _guarded_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Solve a x = b from one LU of ``a``; also return sign and ln|det a|.
-
-    Raises ``NonTraceable`` when the LAPACK 1-norm estimate of the reciprocal
-    condition number is below ``_RCOND_FLOOR``.
-    """
-    lu, piv, info = dgetrf(a)
-    rcond, _ = dgecon(lu, np.abs(a).sum(axis=0).max())
-    if info > 0 or not rcond >= _RCOND_FLOOR:
-        raise NonTraceable(f"1 - EE block is numerically singular "
-                           f"(rcond estimate {rcond:.3e} < {_RCOND_FLOOR})")
-    x, _ = dgetrs(lu, piv, b)
-    diag = np.diag(lu)
-    swaps = np.count_nonzero(piv != np.arange(len(piv)))
-    sign = (-1.0) ** swaps * float(np.prod(np.sign(diag)))
-    return x, sign, float(np.sum(np.log(np.abs(diag))))
-
-
-def gaussian_partial_trace(tg: TotalGaussian) -> tuple[GaussianKernel, float]:
+def gaussian_partial_trace(tg: TotalGaussian) -> tuple[Moments, float]:
     """Trace out the bath indices of the total kernel.
 
-    Returns the reduced scalar kernel and the determinant factor
-    ||1 - [[Omega_EE, Pi_EE], [Pi_EE, Omega_EE]]||^(1/2) entering the
-    reduced-partition-function relation.  For real blocks that 2k_c matrix
-    is orthogonally similar to diag(1 - Omega_EE - Pi_EE,
-    1 - Omega_EE + Pi_EE), so two k_c systems replace it.  Raises
-    ``NonTraceable`` when either block is numerically singular or the
-    determinant is not positive (the bath integral diverges).
+    Returns the reduced moments and the determinant factor
+    ||1 - [[Omega_EE, Pi_EE], [Pi_EE, Omega_EE]]||^(1/2) = (det C+_EE
+    det C-_EE)^(1/2) entering the reduced-partition-function relation (the
+    2k_c matrix is orthogonally similar to diag(C+_EE, C-_EE)).  The reduced
+    complements are the Schur complements c+- = C_SS - C_SE C_EE^-1 C_ES,
+    and since C+- inverts 1/2 + covariance, c+- = 1 / (1 + n +- s).  Raises
+    ``NonTraceable`` when a bath block is not positive definite (the bath
+    integral diverges) or is numerically singular, and ``NonNormalizable``
+    when a reduced complement is not positive.
     """
-    om, pi = tg.omega, tg.pi
-    if om.shape[0] == 1:
-        return GaussianKernel(omega_s=complex(om[0, 0]),
-                              pi_s=complex(pi[0, 0])), 1.0
-    eye = np.eye(om.shape[0] - 1)
-    u, v = om[0, 1:] + pi[0, 1:], om[0, 1:] - pi[0, 1:]
-    x_plus, sign_plus, logdet_plus = _guarded_solve(
-        eye - om[1:, 1:] - pi[1:, 1:], u)
-    x_minus, sign_minus, logdet_minus = _guarded_solve(
-        eye - om[1:, 1:] + pi[1:, 1:], v)
-    sign, logdet = sign_plus * sign_minus, logdet_plus + logdet_minus
-    if sign <= 0:
-        raise NonTraceable(f"det(1 - EE block) is not positive: sign {sign:+.0f}, "
-                           f"ln|det| = {logdet:.6e}")
-    up, vm = float(u @ x_plus), float(v @ x_minus)
-    return GaussianKernel(omega_s=complex(om[0, 0] + 0.5 * (up + vm)),
-                          pi_s=complex(pi[0, 0] + 0.5 * (up - vm))), \
-        float(np.exp(0.5 * logdet))
+    (c_plus, logdet_plus), (c_minus, logdet_minus) = (
+        _bath_schur(tg.plus), _bath_schur(tg.minus))
+    if not (c_plus > 0 and c_minus > 0):
+        raise NonNormalizable(f"reduced complements {c_plus:.3e}, "
+                              f"{c_minus:.3e} are not both positive")
+    q_plus, q_minus = 1 / c_plus, 1 / c_minus    # 1 + n +- s
+    moments = Moments(occupation=0.5 * (q_plus + q_minus) - 1,
+                      squeezing=complex(0.5 * (q_plus - q_minus)))
+    return moments, float(np.exp(0.5 * (logdet_plus + logdet_minus)))
 
 
-def finite_kernel(modes: ModeList, beta: float,
-                  counterterm: bool = False) -> GaussianKernel:
-    """Reduced kernel of the discretized model (generator + partial trace)."""
-    gen = build_generator(modes, beta, counterterm)
-    kernel, _ = gaussian_partial_trace(total_gaussian(gen))
-    return kernel
+def _bath_schur(comp: np.ndarray) -> tuple[float, float]:
+    """C_SS - C_SE C_EE^-1 C_ES and ln det C_EE of an upper-stored complement.
+
+    C_EE is factored by one Cholesky and guarded by LAPACK's 1-norm
+    reciprocal-condition estimate against ``_RCOND_FLOOR``.
+    """
+    bath, row = comp[1:, 1:], comp[0, 1:]
+    chol, info = dpotrf(bath)                # reads the upper triangle
+    if info != 0:
+        raise NonTraceable(f"1 - (Omega_EE +- Pi_EE) is not positive definite "
+                           f"(Cholesky fails at order {info})")
+    # 1-norm of the symmetric block from its upper triangle
+    size = np.abs(bath)
+    norm = np.max(size.sum(axis=0) + size.sum(axis=1) - size.diagonal())
+    rcond, _ = dpocon(chol, norm)
+    if not rcond >= _RCOND_FLOOR:
+        raise NonTraceable(f"1 - (Omega_EE +- Pi_EE) is numerically singular "
+                           f"(rcond estimate {rcond:.3e} < {_RCOND_FLOOR})")
+    x, _ = dpotrs(chol, row)
+    return (float(comp[0, 0] - row @ x),
+            2 * float(np.sum(np.log(chol.diagonal()))))
 
 
 def _normal_modes(modes: ModeList, counterterm: bool,
@@ -391,8 +350,9 @@ def moments_from_modes(modes: ModeList, beta: float,
     """Exact moments of the discretized model via normal-mode correlators.
 
     Equivalent to the Gaussian partial trace (both are exact for the finite
-    model) but reduces to a single symmetric eigenproblem; used as a fast
-    route and as an independent cross-check of the kernel machinery.
+    model) but needs only the frequencies and the system row O[0] of the
+    normal modes, from the secular equation; used as a fast route and as an
+    independent cross-check of the kernel machinery.
     """
     _check_beta(beta)
     wj, system_row = _normal_modes(modes, counterterm, vectors="system")
@@ -421,15 +381,15 @@ def _ladder(dim: int) -> np.ndarray:
 
 def fock_oracle(modes: ModeList, beta: float, n_max,
                 counterterm: bool = False, check_truncation: bool = True,
-                truncation_delta: int = 10,
-                truncation_tol: float = 1e-5) -> FockResult:
+                truncation_delta: int = 10) -> FockResult:
     """Diagonalize the truncated Fock-space Hamiltonian and trace numerically.
 
     ``n_max`` is a single occupation cap or one per mode (system first);
     caps are integers >= 1.  Total parity is conserved, so the Hamiltonian
     is built, diagonalized and traced over the bath in two parity blocks.
     The truncation error is estimated by re-running with every cap raised
-    by ``truncation_delta``.
+    by ``truncation_delta``; a change above ``_TRUNCATION_TOL`` raises
+    ``TruncationError``.
     """
     _check_beta(beta)
     kc = len(modes)
@@ -448,9 +408,9 @@ def fock_oracle(modes: ModeList, beta: float, n_max,
     drift = max(abs(result.moments.occupation - bigger.moments.occupation),
                 abs(result.moments.squeezing - bigger.moments.squeezing),
                 abs(result.ln_z_reduced - bigger.ln_z_reduced))
-    if drift > truncation_tol:
+    if drift > _TRUNCATION_TOL:
         raise TruncationError(
-            f"n_max sensitivity {drift:.3e} exceeds {truncation_tol}")
+            f"n_max sensitivity {drift:.3e} exceeds {_TRUNCATION_TOL}")
     return FockResult(moments=bigger.moments, ln_z_total=bigger.ln_z_total,
                       ln_z_reduced=bigger.ln_z_reduced, truncation=float(drift))
 
@@ -568,5 +528,5 @@ def _fock_once(modes: ModeList, beta: float, caps, counterterm: bool) -> FockRes
 
 def oracle_moments(modes: ModeList, beta: float,
                    counterterm: bool = False) -> Moments:
-    """Moments of the discretized model through the Gaussian machinery."""
-    return kernel_to_moments(finite_kernel(modes, beta, counterterm))
+    """Moments of the discretized model through the Gaussian partial trace."""
+    return gaussian_partial_trace(total_gaussian(modes, beta, counterterm))[0]

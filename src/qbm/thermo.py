@@ -43,25 +43,12 @@ def internal_energy_hamiltonian(h: ReducedHamiltonian, m: Moments) -> float:
                         + 2 * (h.pairing * m.squeezing).real))
 
 
-def internal_energy_partition(omega_bar: float, temperature: float,
-                              mode: str = "closed") -> float:
-    """U_Z = (wbar/2) coth(wbar / 2T), or -d/d beta of ln Z_S^r numerically."""
+def internal_energy_partition(omega_bar: float, temperature: float) -> float:
+    """U_Z = (wbar/2) coth(wbar / 2T) = -d/d beta of ln Z_S^r."""
     if omega_bar <= 0 or temperature <= 0:
         raise InvalidGrid("omega_bar and temperature must be positive")
-    if mode == "closed":
-        x = omega_bar / (2 * temperature)
-        return float(0.5 * omega_bar / np.tanh(min(x, 350.0)))
-    if mode == "derivative":
-        beta = 1.0 / temperature
-        step = beta * 1e-5
-
-        def ln_z(b):
-            # ln[(1/2) csch(b wbar / 2)], stable for large arguments
-            x = b * omega_bar / 2
-            return -x - np.log1p(-np.exp(-2 * min(x, 350.0)))
-
-        return float(-(ln_z(beta + step) - ln_z(beta - step)) / (2 * step))
-    raise InvalidGrid(f"unknown internal_energy_partition mode {mode!r}")
+    x = omega_bar / (2 * temperature)
+    return float(0.5 * omega_bar / np.tanh(min(x, 350.0)))
 
 
 def heat_capacity_exact(omega_bar: float, temperature: float) -> float:
@@ -121,18 +108,6 @@ def naive_curves(modes: ModeList, betas,
     energies = _mode_coth_sums(freqs, betas) - _mode_coth_sums(bath, betas)
     capacities = _mode_csch2_sums(freqs, betas) - _mode_csch2_sums(bath, betas)
     return energies.tolist(), capacities.tolist()
-
-
-def naive_internal_energy(modes: ModeList, beta: float,
-                          counterterm: bool = False) -> float:
-    """U from Z_S = Z_tot/Z_E at one beta; see ``naive_curves``."""
-    return naive_curves(modes, [beta], counterterm)[0][0]
-
-
-def naive_heat_capacity(modes: ModeList, beta: float,
-                        counterterm: bool = False) -> float:
-    """Analytic temperature derivative of the naive internal energy at one beta."""
-    return naive_curves(modes, [beta], counterterm)[1][0]
 
 
 def reduced_hamiltonian_at(cfg: SpectralConfig,

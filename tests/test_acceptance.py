@@ -17,13 +17,14 @@ from qbm import (ModeList, SpectralConfig, bogoliubov, discretize,
                  heat_capacity_exact, heat_capacity_incomplete,
                  internal_energy_hamiltonian, internal_energy_partition,
                  kernel_to_moments, matsubara_moments, moments_to_kernel,
-                 naive_heat_capacity, oracle_moments, position_form,
+                 naive_curves, oracle_moments, position_form,
                  quasiparticle_occupation, reduced_hamiltonian,
                  reduced_hamiltonian_at, reduced_partition, solve_kernel)
 from qbm.cli import FIGURE_IDS, parse_config, render_csv, run_figure
-from qbm.finite import (build_generator, gaussian_partial_trace,
-                        log_partition_total, total_gaussian)
+from qbm.finite import (gaussian_partial_trace, log_partition_total,
+                        total_gaussian)
 from qbm.gibbs import ReducedHamiltonian
+from kernel_blocks import kernel_blocks
 
 CUTOFF = 20.0
 T_REF = 5.0
@@ -176,8 +177,7 @@ def test_criterion_7_exact_pipeline_positive():
         exact = [heat_capacity_exact(h.eigenfrequency, t) for t in temps]
         ok &= min(exact) > 0
         modes = discretize(cfg, 400, 200.0)
-        naive = [naive_heat_capacity(modes, 1 / t, cfg.counterterm)
-                 for t in temps]
+        _, naive = naive_curves(modes, 1 / temps, cfg.counterterm)
         minima[gamma] = min(naive)
         if gamma in (0.1, 0.3):
             ok &= minima[gamma] > 0
@@ -198,8 +198,7 @@ def test_criterion_7_naive_negative_heat_capacity():
     for gamma in (0.6, 1.0, 2.0):
         cfg = SpectralConfig(gamma, CUTOFF)
         modes = discretize(cfg, 400, 200.0)
-        minima[gamma] = min(naive_heat_capacity(modes, 1 / t, cfg.counterterm)
-                            for t in temps)
+        minima[gamma] = min(naive_curves(modes, 1 / temps, cfg.counterterm)[1])
     ok = all(m < 0 for m in minima.values())
     detail = ", ".join(f"g={g}: min C_naive={m:+.4f}"
                        for g, m in minima.items())
@@ -298,11 +297,12 @@ def test_criterion_9_property_suites():
                       couplings=np.array([0.3])), 1.0),
             (ModeList(frequencies=np.array([1.6, 2.4]),
                       couplings=np.array([0.25, -0.2])), 1.1)):
-        tg = total_gaussian(build_generator(modes, beta, counterterm=True))
-        kernel, factor = gaussian_partial_trace(tg)
-        z_moments = reduced_partition(kernel_to_moments(kernel))
+        tg = total_gaussian(modes, beta, counterterm=True)
+        moments, factor = gaussian_partial_trace(tg)
+        z_moments = reduced_partition(moments)
         z_rel = np.exp(log_partition_total(modes, beta, True)) * np.sqrt(
-            kernel.omega_s.real / np.linalg.det(tg.omega)) * factor
+            moments_to_kernel(moments).omega_s.real
+            / np.linalg.det(kernel_blocks(tg)[0])) * factor
         caps = 60 if len(modes) == 1 else (22, 14, 14)
         fock = fock_oracle(modes, beta, caps, counterterm=True,
                            check_truncation=False)

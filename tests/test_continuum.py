@@ -6,9 +6,9 @@ import pytest
 from scipy.special import polygamma
 
 from qbm import (GaussianKernel, InvertedPotential, Moments, NonNormalizable,
-                 SpectralConfig, discretize, finite_kernel, kernel_to_moments,
-                 matsubara_moments, moments_to_kernel, solve_kernel,
-                 solve_moments)
+                 SpectralConfig, discretize, kernel_to_moments,
+                 matsubara_moments, moments_to_kernel, oracle_moments,
+                 solve_kernel, solve_moments)
 
 from laplace_reference import self_energy
 
@@ -26,7 +26,7 @@ def _discretize_extrapolate(cfg, beta, base_k=100):
     vals = []
     for rung in (1, 2, 4):
         modes = discretize(cfg, rung * base_k, 10.0 * cfg.cutoff * rung)
-        kern = finite_kernel(modes, beta, cfg.counterterm)
+        kern = moments_to_kernel(oracle_moments(modes, beta, cfg.counterterm))
         vals.append(np.array([kern.omega_s.real, kern.pi_s.real]))
     f0, f1, f2 = vals
     d1, d2 = f1 - f0, f2 - f1

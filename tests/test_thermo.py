@@ -6,8 +6,8 @@ import pytest
 from qbm import (InvalidGrid, SpectralConfig, discretize, exact_point,
                  extended_bose_einstein, heat_capacity_exact,
                  heat_capacity_incomplete, internal_energy_hamiltonian,
-                 internal_energy_partition, naive_heat_capacity,
-                 naive_internal_energy, reduced_hamiltonian_at, sweep)
+                 internal_energy_partition, naive_curves,
+                 reduced_hamiltonian_at, sweep)
 from qbm import thermo
 from qbm.gibbs import ReducedHamiltonian
 from qbm.spectral import ModeList
@@ -32,10 +32,16 @@ class TestInternalEnergy:
             1000.0, rel=1e-3)
 
     def test_derivative_mode_matches_closed_form(self):
+        # U_Z = -d ln Z_S^r / d beta, with ln Z_S^r = ln[(1/2) csch(beta wbar/2)]
+        def ln_z(beta):
+            x = beta * 0.9 / 2
+            return -x - np.log1p(-np.exp(-2 * x))
+
         for t in (0.3, 1.0, 7.0):
-            closed = internal_energy_partition(0.9, t)
-            deriv = internal_energy_partition(0.9, t, mode="derivative")
-            assert deriv == pytest.approx(closed, rel=1e-6)
+            beta, step = 1 / t, 1e-5 / t
+            deriv = -(ln_z(beta + step) - ln_z(beta - step)) / (2 * step)
+            assert deriv == pytest.approx(internal_energy_partition(0.9, t),
+                                          rel=1e-6)
 
     def test_two_definitions_agree(self):
         for gamma in (0.1, 0.5, 1.0, 2.0, 3.0):
@@ -109,8 +115,7 @@ class TestNaivePipeline:
         modes = ModeList(frequencies=np.array([2.0, 3.0]),
                          couplings=np.array([0.0, 0.0]))
         beta = 0.7
-        u = naive_internal_energy(modes, beta)
-        c = naive_heat_capacity(modes, beta)
+        (u,), (c,) = naive_curves(modes, [beta])
         x = beta / 2
         assert u == pytest.approx(0.5 / np.tanh(x), rel=1e-12)
         assert c == pytest.approx((x / np.sinh(x))**2, rel=1e-12)
@@ -119,9 +124,8 @@ class TestNaivePipeline:
         modes = discretize(CFG, 200, 200.0)
         t = 0.4
         h = 1e-4 * t
-        u_plus = naive_internal_energy(modes, 1 / (t + h), counterterm=True)
-        u_minus = naive_internal_energy(modes, 1 / (t - h), counterterm=True)
-        c = naive_heat_capacity(modes, 1 / t, counterterm=True)
+        (u_plus, u_minus, _), (_, _, c) = naive_curves(
+            modes, [1 / (t + h), 1 / (t - h), 1 / t], counterterm=True)
         assert c == pytest.approx((u_plus - u_minus) / (2 * h), rel=1e-5)
 
     def test_weak_coupling_close_to_exact_without_sign_change(self):
@@ -129,8 +133,9 @@ class TestNaivePipeline:
         modes = discretize(cfg, 400, 200.0)
         h = reduced_hamiltonian_at(cfg, 1.0)
         diffs = []
-        for t in np.geomspace(0.05, 3.0, 25):
-            c_naive = naive_heat_capacity(modes, 1 / t, counterterm=True)
+        temps = np.geomspace(0.05, 3.0, 25)
+        _, capacities = naive_curves(modes, 1 / temps, counterterm=True)
+        for t, c_naive in zip(temps, capacities):
             c_exact = heat_capacity_exact(h.eigenfrequency, t)
             assert c_naive > 0
             diffs.append(abs(c_naive - c_exact))
@@ -191,11 +196,10 @@ class TestSweep:
         points = sweep("temperature", temps, CFG, pipeline="naive",
                        modes=modes)
         for t, p in zip(temps, points):
+            (u,), (c,) = naive_curves(modes, [1 / t], counterterm=True)
             assert p.error is None
-            assert p.internal_energy == naive_internal_energy(
-                modes, 1 / t, counterterm=True)
-            assert p.heat_capacity == naive_heat_capacity(
-                modes, 1 / t, counterterm=True)
+            assert p.internal_energy == u
+            assert p.heat_capacity == c
 
     def test_naive_sweep_errors_collected(self):
         cfg = SpectralConfig(0.5, 20.0, counterterm=False)
