@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,12 +22,9 @@ from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
 from .gibbs import extended_bose_einstein, reduced_hamiltonian
 from .spectral import ModeList, SpectralConfig, discretize
-from .thermo import (ThermoPoint, heat_capacity_exact,
-                     heat_capacity_incomplete, internal_energy_hamiltonian,
-                     internal_energy_partition, naive_curves,
-                     reduced_hamiltonian_at, sweep)
-
-FIGURE_IDS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5")
+from .thermo import (heat_capacity_exact, heat_capacity_incomplete,
+                     internal_energy_hamiltonian, internal_energy_partition,
+                     naive_curves, reduced_hamiltonian_at, sweep)
 
 _FIGURE_GAMMAS = (0.1, 0.5, 1.0, 2.0, 3.0)
 _FIG5_GAMMAS = (0.1, 0.3, 0.6, 1.0, 2.0)
@@ -76,12 +73,7 @@ class FigureDataset:
 # configuration parsing
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {"temperatures", "gammas"}
-_FLOAT_KEYS = {"gamma", "cutoff", "temperature", "omega_max", "t_ref"}
-_INT_KEYS = {"k_c", "n_max"}
-_BOOL_KEYS = {"counterterm", "timestamp"}
-_STR_KEYS = {"out", "fmt"}
-_ALL_KEYS = _GRID_KEYS | _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_grid(key: str, text: str) -> tuple:
@@ -90,8 +82,8 @@ def _parse_grid(key: str, text: str) -> tuple:
         if text.startswith(("geom:", "lin:")):
             kind, lo, hi, num = text.split(":")
             lo, hi, num = float(lo), float(hi), int(num)
-            if num < 1 or lo <= 0 or hi <= lo:
-                raise ValueError("need 0 < lo < hi and n >= 1")
+            if num < 1 or hi <= lo or (kind == "geom" and lo <= 0):
+                raise ValueError("need lo < hi, n >= 1 and, for geom, lo > 0")
             fn = np.geomspace if kind == "geom" else np.linspace
             return tuple(float(x) for x in fn(lo, hi, num))
         return tuple(float(x) for x in text.split(","))
@@ -100,40 +92,41 @@ def _parse_grid(key: str, text: str) -> tuple:
 
 
 def _coerce(key: str, value):
+    """Coerce a file or flag value to the type of the key's default."""
+    kind = str if key == "out" else type(_DEFAULTS[key])
     if isinstance(value, str):
         value = value.strip()
     try:
-        if key in _GRID_KEYS:
+        if kind is tuple:
             return _parse_grid(key, value) if isinstance(value, str) else tuple(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if isinstance(value, bool):
                 return value
-            if value.lower() in ("true", "1", "yes"):
+            text = value.lower() if isinstance(value, str) else None
+            if text in ("true", "1", "yes"):
                 return True
-            if value.lower() in ("false", "0", "no"):
+            if text in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        return str(value)
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from None
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    for key in sorted(_FLOAT_KEYS | _GRID_KEYS):
+    for key in sorted(k for k, v in _DEFAULTS.items() if isinstance(v, (float, tuple))):
         values = getattr(cfg, key)
         if not all(math.isfinite(v) for v in
-                   (values if key in _GRID_KEYS else (values,))):
+                   (values if isinstance(values, tuple) else (values,))):
             raise ConfigError(key, "values must be finite")
     if cfg.gamma < 0:
         raise ConfigError("gamma", "coupling strength must be >= 0")
     if cfg.cutoff <= 0:
         raise ConfigError("cutoff", "cutoff must be > 0")
-    if cfg.temperature <= 0 or cfg.t_ref <= 0:
+    if cfg.temperature <= 0:
         raise ConfigError("temperature", "temperatures must be > 0")
+    if cfg.t_ref <= 0:
+        raise ConfigError("t_ref", "reference temperature must be > 0")
     for key, grid in (("temperatures", cfg.temperatures), ("gammas", cfg.gammas)):
         if len(grid) == 0:
             raise ConfigError(key, "grid must be nonempty")
@@ -172,13 +165,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
                 raise ConfigError(f"{path}:{lineno}", f"expected key = value, got {line!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in _ALL_KEYS:
+            if key not in _DEFAULTS:
                 raise ConfigError(key, f"unknown configuration key (line {lineno})")
             values[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(key, "unknown configuration key")
         values[key] = _coerce(key, value)
     return _validate(replace(RunConfig(), **values))
@@ -189,154 +182,82 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # ---------------------------------------------------------------------------
 
 def _meta(cfg: RunConfig, **extra) -> dict:
-    meta = {
-        "version": __version__,
-        "gamma": cfg.gamma,
-        "cutoff": cfg.cutoff,
-        "counterterm": cfg.counterterm,
-        "t_ref": cfg.t_ref,
-        "cross_validation_tolerance": 1e-4,
-    }
-    meta.update(extra)
-    return meta
+    return {"version": __version__, "gamma": cfg.gamma, "cutoff": cfg.cutoff,
+            "counterterm": cfg.counterterm, "t_ref": cfg.t_ref,
+            "cross_validation_tolerance": 1e-4, **extra}
 
 
-def _coupling_grid() -> np.ndarray:
-    # reaches from the decoupled limit to gamma = 3 with a weak-coupling zoom
-    grid = np.concatenate([[1e-6], np.geomspace(1e-4, 0.05, 12),
-                           np.geomspace(0.06, 3.0, 48)])
-    return np.unique(grid)
+def _flagged(prefix: list, width: int, values) -> list:
+    """prefix + values() + [""], or width NaNs and the QbmError's class name."""
+    try:
+        return prefix + values() + [""]
+    except QbmError as exc:
+        return prefix + [float("nan")] * width + [type(exc).__name__]
 
 
-def run_figure(figure_id: str, cfg: RunConfig) -> FigureDataset:
-    """Emit the dataset for one figure; per-point failures become row flags."""
-    if figure_id not in FIGURE_IDS:
-        raise ConfigError("figure", f"unknown figure id {figure_id!r}")
-    builder = {
-        "1a": _figure_1a, "1b": _figure_1b, "2a": _figure_2a, "2b": _figure_2b,
-        "3a": _figure_3a, "3b": _figure_3b, "4a": _figure_4a, "4b": _figure_4b,
-        "5": _figure_5,
-    }[figure_id]
-    return builder(cfg).validate()
+def _once(compute):
+    """compute() now; the callable returned gives its value or its QbmError."""
+    try:
+        value = compute()
+    except QbmError as exc:
+        failure = exc  # the except clause unbinds exc on exit
+
+        def replay():
+            raise failure
+        return replay
+    return lambda: value
 
 
-def _figure_1a(cfg: RunConfig) -> FigureDataset:
+# Figures 1a/1b scan the coupling at T = 10 (from the decoupled limit to
+# gamma = 3, with a weak-coupling zoom), 2a/2b the temperature at gamma = 0.5.
+_COUPLING_SCAN = np.unique(np.concatenate([[1e-6], np.geomspace(1e-4, 0.05, 12),
+                                           np.geomspace(0.06, 3.0, 48)]))
+_TEMPERATURE_SCAN = np.geomspace(0.1, 20.0, 60)
+
+
+def _moment_values(m, temp: float) -> list:
+    return [m.occupation, abs(m.squeezing)]
+
+
+def _hamiltonian_values(m, temp: float) -> list:
+    h = reduced_hamiltonian(m, temp)
+    return [h.omega, abs(h.pairing), h.eigenfrequency]
+
+
+def _scan_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset:
+    columns, values = spec
+    by_coupling = figure_id.startswith("1")
     rows = []
-    for gamma in _coupling_grid():
-        try:
-            m = solve_moments(cfg.spectral(gamma), 1.0 / 10.0)
-            rows.append([gamma, m.occupation, abs(m.squeezing), ""])
-        except QbmError as exc:
-            rows.append([gamma, float("nan"), float("nan"), type(exc).__name__])
-    return FigureDataset("1a", ["gamma", "n", "s_abs", "error"], rows,
-                         _meta(cfg, temperature=10.0))
+    for x in _COUPLING_SCAN if by_coupling else _TEMPERATURE_SCAN:
+        gamma, temp = (x, 10.0) if by_coupling else (0.5, x)
+        rows.append(_flagged([x], len(columns), lambda: values(
+            solve_moments(cfg.spectral(gamma), 1.0 / temp), temp)))
+    fixed = {"temperature": 10.0} if by_coupling else {"gamma": 0.5}
+    return FigureDataset(figure_id, ["gamma" if by_coupling else "T"] + columns
+                         + ["error"], rows, _meta(cfg, **fixed))
 
 
-def _figure_1b(cfg: RunConfig) -> FigureDataset:
+def _capacities_from_h_and_z(h, temp: float) -> list:
+    c_h = heat_capacity_exact(h.eigenfrequency, temp)
+    du = 1e-5 * temp
+    c_z = (internal_energy_partition(h.eigenfrequency, temp + du)
+           - internal_energy_partition(h.eigenfrequency, temp - du)) / (2 * du)
+    return [c_h, c_z]
+
+
+def _thermo_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset:
+    """Rows over cfg.gammas x cfg.temperatures from h extracted at t_ref."""
+    columns, values, extra = spec
     rows = []
-    for gamma in _coupling_grid():
-        try:
-            m = solve_moments(cfg.spectral(gamma), 1.0 / 10.0)
-            h = reduced_hamiltonian(m, 10.0)
-            rows.append([gamma, h.omega, abs(h.pairing), h.eigenfrequency, ""])
-        except QbmError as exc:
-            rows.append([gamma, float("nan"), float("nan"), float("nan"),
-                         type(exc).__name__])
-    return FigureDataset("1b", ["gamma", "omega_r", "delta_abs", "omega_bar",
-                                "error"], rows, _meta(cfg, temperature=10.0))
+    for gamma in cfg.gammas:
+        get_h = _once(lambda: reduced_hamiltonian_at(cfg.spectral(gamma), cfg.t_ref))
+        rows += [_flagged([temp, gamma], len(columns), lambda: values(get_h(), temp))
+                 for temp in cfg.temperatures]
+    return FigureDataset(figure_id, ["T", "gamma"] + columns + ["error"], rows,
+                         _meta(cfg, **extra))
 
 
-def _fig2_grid() -> np.ndarray:
-    return np.geomspace(0.1, 20.0, 60)
-
-
-def _figure_2a(cfg: RunConfig) -> FigureDataset:
-    rows = []
-    for temp in _fig2_grid():
-        try:
-            m = solve_moments(cfg.spectral(0.5), 1.0 / temp)
-            rows.append([temp, m.occupation, abs(m.squeezing), ""])
-        except QbmError as exc:
-            rows.append([temp, float("nan"), float("nan"), type(exc).__name__])
-    return FigureDataset("2a", ["T", "n", "s_abs", "error"], rows,
-                         _meta(cfg, gamma=0.5))
-
-
-def _figure_2b(cfg: RunConfig) -> FigureDataset:
-    rows = []
-    for temp in _fig2_grid():
-        try:
-            m = solve_moments(cfg.spectral(0.5), 1.0 / temp)
-            h = reduced_hamiltonian(m, temp)
-            rows.append([temp, h.omega, abs(h.pairing), ""])
-        except QbmError as exc:
-            rows.append([temp, float("nan"), float("nan"), type(exc).__name__])
-    return FigureDataset("2b", ["T", "omega_r", "delta_abs", "error"], rows,
-                         _meta(cfg, gamma=0.5))
-
-
-def _thermo_rows(cfg: RunConfig, gammas, columns_of) -> list:
-    rows = []
-    for gamma in gammas:
-        try:
-            h = reduced_hamiltonian_at(cfg.spectral(gamma), cfg.t_ref)
-        except QbmError as exc:
-            for temp in cfg.temperatures:
-                rows.append([temp, gamma] + [float("nan")] * 2
-                            + [type(exc).__name__])
-            continue
-        for temp in cfg.temperatures:
-            try:
-                rows.append([temp, gamma] + columns_of(h, gamma, temp) + [""])
-            except QbmError as exc:
-                rows.append([temp, gamma] + [float("nan")] * 2
-                            + [type(exc).__name__])
-    return rows
-
-
-def _figure_3a(cfg: RunConfig) -> FigureDataset:
-    def cols(h, gamma, temp):
-        m = extended_bose_einstein(h, temp)
-        return [internal_energy_hamiltonian(h, m),
-                internal_energy_partition(h.eigenfrequency, temp)]
-
-    rows = _thermo_rows(cfg, cfg.gammas, cols)
-    return FigureDataset("3a", ["T", "gamma", "U_from_H", "U_from_Z", "error"],
-                         rows, _meta(cfg))
-
-
-def _figure_3b(cfg: RunConfig) -> FigureDataset:
-    def cols(h, gamma, temp):
-        c_h = heat_capacity_exact(h.eigenfrequency, temp)
-        du = 1e-5 * temp
-        c_z = (internal_energy_partition(h.eigenfrequency, temp + du)
-               - internal_energy_partition(h.eigenfrequency, temp - du)) / (2 * du)
-        return [c_h, c_z]
-
-    rows = _thermo_rows(cfg, cfg.gammas, cols)
-    return FigureDataset("3b", ["T", "gamma", "C_from_H", "C_from_Z", "error"],
-                         rows, _meta(cfg))
-
-
-def _figure_incomplete(cfg: RunConfig, figure_id: str, mode: str) -> FigureDataset:
-    def cols(h, gamma, temp):
-        return [heat_capacity_incomplete(mode, h, temp),
-                heat_capacity_exact(h.eigenfrequency, temp)]
-
-    rows = _thermo_rows(cfg, cfg.gammas, cols)
-    return FigureDataset(figure_id, ["T", "gamma", "C_incomplete", "C_exact",
-                                     "error"], rows, _meta(cfg, mode=mode))
-
-
-def _figure_4a(cfg: RunConfig) -> FigureDataset:
-    return _figure_incomplete(cfg, "4a", "drop-imaginary")
-
-
-def _figure_4b(cfg: RunConfig) -> FigureDataset:
-    return _figure_incomplete(cfg, "4b", "drop-pairing")
-
-
-def _figure_5(cfg: RunConfig) -> FigureDataset:
+def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
     temps = np.unique(np.concatenate([np.geomspace(0.02, 0.05, 10),
                                       np.asarray(cfg.temperatures)]))
     rows = []
@@ -344,11 +265,9 @@ def _figure_5(cfg: RunConfig) -> FigureDataset:
         scfg = cfg.spectral(gamma)
         modes = discretize(scfg, cfg.k_c, cfg.omega_max)
         try:
-            h = reduced_hamiltonian_at(scfg, cfg.t_ref)
+            h, h_err = reduced_hamiltonian_at(scfg, cfg.t_ref), ""
         except QbmError as exc:
             h, h_err = None, type(exc).__name__
-        else:
-            h_err = ""
         try:
             c_naive = naive_curves(modes, [1.0 / t for t in temps],
                                    cfg.counterterm)[1]
@@ -360,8 +279,48 @@ def _figure_5(cfg: RunConfig) -> FigureDataset:
             c_exact = (heat_capacity_exact(h.eigenfrequency, temp)
                        if h is not None else float("nan"))
             rows.append([temp, gamma, c, c_exact, h_err])
-    return FigureDataset("5", ["T", "gamma", "C_naive", "C_exact", "error"],
+    return FigureDataset(figure_id, ["T", "gamma", "C_naive", "C_exact", "error"],
                          rows, _meta(cfg, k_c=cfg.k_c, omega_max=cfg.omega_max))
+
+
+# figure id -> (builder, spec).  A scan's spec is (columns, values(moments, T)),
+# a figure-3/4 spec (columns, values(h, T), extra metadata).  The callables
+# here look the public qbm functions up by module-global name at call time.
+_BUILDERS = {
+    "1a": (_scan_figure, (["n", "s_abs"], _moment_values)),
+    "1b": (_scan_figure, (["omega_r", "delta_abs", "omega_bar"], _hamiltonian_values)),
+    "2a": (_scan_figure, (["n", "s_abs"], _moment_values)),
+    "2b": (_scan_figure, (["omega_r", "delta_abs"],
+                          lambda m, temp: _hamiltonian_values(m, temp)[:2])),
+    "3a": (_thermo_figure, (["U_from_H", "U_from_Z"], lambda h, temp: [
+        internal_energy_hamiltonian(h, extended_bose_einstein(h, temp)),
+        internal_energy_partition(h.eigenfrequency, temp)], {})),
+    "3b": (_thermo_figure, (["C_from_H", "C_from_Z"], _capacities_from_h_and_z, {})),
+    "4a": (_thermo_figure, (["C_incomplete", "C_exact"], lambda h, temp: [
+        heat_capacity_incomplete("drop-imaginary", h, temp),
+        heat_capacity_exact(h.eigenfrequency, temp)], {"mode": "drop-imaginary"})),
+    "4b": (_thermo_figure, (["C_incomplete", "C_exact"], lambda h, temp: [
+        heat_capacity_incomplete("drop-pairing", h, temp),
+        heat_capacity_exact(h.eigenfrequency, temp)], {"mode": "drop-pairing"})),
+    "5": (_figure_5, None),
+}
+FIGURE_IDS = tuple(_BUILDERS)
+
+
+def run_figure(figure_id: str, cfg: RunConfig) -> FigureDataset:
+    """Emit the dataset for one figure; per-point failures become row flags."""
+    if figure_id not in _BUILDERS:
+        raise ConfigError("figure", f"unknown figure id {figure_id!r}")
+    builder, spec = _BUILDERS[figure_id]
+    return builder(cfg, figure_id, spec).validate()
+
+
+def _ladder_errors(m_cont, z_cont: float, modes: ModeList, beta: float,
+                   counterterm: bool) -> list:
+    m_disc = oracle_moments(modes, beta, counterterm)
+    return [abs(m_cont.occupation - m_disc.occupation),
+            abs(m_cont.squeezing - m_disc.squeezing),
+            abs(z_cont - reduced_partition(m_disc))]
 
 
 def oracle_compare(cfg: RunConfig, gammas=(0.0, 0.5),
@@ -376,25 +335,14 @@ def oracle_compare(cfg: RunConfig, gammas=(0.0, 0.5),
         scfg = cfg.spectral(gamma)
         for temp in temperatures:
             beta = 1.0 / temp
-            try:
-                m_cont = solve_moments(scfg, beta)
-                z_cont = reduced_partition(m_cont)
-            except QbmError as exc:  # flags every rung of this (gamma, T)
-                rows += [[gamma, temp, k_c, float("nan"), float("nan"),
-                          float("nan"), type(exc).__name__] for k_c in ladder]
-                continue
+            # a failed continuum solve flags every rung of this (gamma, T)
+            m_cont = _once(lambda: solve_moments(scfg, beta))
+            z_cont = _once(lambda: reduced_partition(m_cont()))
             for k_c in ladder:
-                try:
-                    omega_max = cfg.omega_max * k_c / ladder[0]
-                    modes = discretize(scfg, k_c, omega_max)
-                    m_disc = oracle_moments(modes, beta, cfg.counterterm)
-                    rows.append([gamma, temp, k_c,
-                                 abs(m_cont.occupation - m_disc.occupation),
-                                 abs(m_cont.squeezing - m_disc.squeezing),
-                                 abs(z_cont - reduced_partition(m_disc)), ""])
-                except QbmError as exc:
-                    rows.append([gamma, temp, k_c, float("nan"), float("nan"),
-                                 float("nan"), type(exc).__name__])
+                window = cfg.omega_max * k_c / ladder[0]
+                rows.append(_flagged([gamma, temp, k_c], 3, lambda: _ladder_errors(
+                    m_cont(), z_cont(), discretize(scfg, k_c, window), beta,
+                    cfg.counterterm)))
     # brute-force cell: single bath mode, Gaussian machinery vs Fock space
     modes = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.3]))
     beta = 1.0
@@ -410,6 +358,26 @@ def oracle_compare(cfg: RunConfig, gammas=(0.0, 0.5),
                        ["gamma", "T", "k_c", "dn", "ds", "dz", "error"],
                        rows, _meta(cfg, ladder=list(ladder)))
     return ds.validate()
+
+
+def _sweep_dataset(cfg: RunConfig, name: str, axis: str = "temperature",
+                   pipeline: str = "exact") -> FigureDataset:
+    key = "temperatures" if axis == "temperature" else "gammas"
+    grid = getattr(cfg, key)
+    if grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(key, "sweep grid must be positive and strictly increasing")
+    modes = None
+    if pipeline == "naive" and axis == "temperature":
+        modes = discretize(cfg.spectral(), cfg.k_c, cfg.omega_max)
+    elif pipeline == "naive":
+        modes = [discretize(cfg.spectral(g), cfg.k_c, cfg.omega_max) for g in grid]
+    points = sweep(axis, grid, cfg.spectral(), pipeline=pipeline,
+                   t_ref=cfg.t_ref, fixed_temperature=cfg.temperature,
+                   modes=modes)
+    rows = [[p.temperature, p.coupling, p.internal_energy, p.heat_capacity,
+             p.z_reduced, p.error or ""] for p in points]
+    return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],
+                         rows, _meta(cfg, axis=axis)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--omega-max", dest="omega_max", type=float, default=None)
     parser.add_argument("--n-max", dest="n_max", type=int, default=None)
     parser.add_argument("--t-ref", dest="t_ref", type=float, default=None)
-    parser.add_argument("--no-counterterm", action="store_true",
+    parser.add_argument("--no-counterterm", dest="counterterm",
+                        action="store_false", default=None,
                         help="drop the static stiffness compensation")
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", type=str, default=None,
                         choices=("csv", "json"))
-    parser.add_argument("--no-timestamp", action="store_true")
+    parser.add_argument("--no-timestamp", dest="timestamp",
+                        action="store_false", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("state", help="moments and kernel at one (gamma, T) point")
     sub.add_parser("thermo", help="internal energy and heat capacity sweep")
@@ -494,18 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--pipeline", default="exact",
                      choices=("exact", "drop-imaginary", "drop-pairing", "naive"))
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {key: getattr(args, key, None)
-                 for key in ("gamma", "temperature", "temperatures", "gammas",
-                             "cutoff", "k_c", "omega_max", "n_max", "t_ref",
-                             "out", "fmt")}
-    if args.no_counterterm:
-        overrides["counterterm"] = False
-    if args.no_timestamp:
-        overrides["timestamp"] = False
-    return overrides
 
 
 def _cmd_state(cfg: RunConfig) -> int:
@@ -531,68 +489,32 @@ def _cmd_state(cfg: RunConfig) -> int:
     return 0
 
 
-def _points_dataset(points: list[ThermoPoint], name: str, cfg: RunConfig,
-                    axis: str) -> FigureDataset:
-    rows = [[p.temperature, p.coupling, p.internal_energy, p.heat_capacity,
-             p.z_reduced, p.error or ""] for p in points]
-    return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],
-                         rows, _meta(cfg, axis=axis)).validate()
-
-
-def _cmd_thermo(cfg: RunConfig) -> int:
-    points = sweep("temperature", cfg.temperatures, cfg.spectral(),
-                   pipeline="exact", t_ref=cfg.t_ref)
-    path = write_dataset(_points_dataset(points, "thermo", cfg, "temperature"),
-                         cfg, "thermo")
-    print(path)
-    return 3 if any(p.error for p in points) else 0
-
-
-def _cmd_sweep(cfg: RunConfig, axis: str, pipeline: str) -> int:
-    grid = cfg.temperatures if axis == "temperature" else cfg.gammas
-    modes = None
-    if pipeline == "naive" and axis == "temperature":
-        modes = discretize(cfg.spectral(), cfg.k_c, cfg.omega_max)
-    elif pipeline == "naive":
-        modes = [discretize(cfg.spectral(g), cfg.k_c, cfg.omega_max) for g in grid]
-    points = sweep(axis, grid, cfg.spectral(), pipeline=pipeline,
-                   t_ref=cfg.t_ref, fixed_temperature=cfg.temperature,
-                   modes=modes)
-    path = write_dataset(_points_dataset(points, f"sweep-{pipeline}", cfg, axis),
-                         cfg, f"sweep_{pipeline}")
-    print(path)
-    return 3 if any(p.error for p in points) else 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, _overrides_from_args(args))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        cfg = parse_config(args.config, {f.name: getattr(args, f.name, None)
+                                         for f in fields(RunConfig)})
         if args.command == "state":
             return _cmd_state(cfg)
-        if args.command == "thermo":
-            return _cmd_thermo(cfg)
         if args.command == "figure":
-            ds = run_figure(args.figure_id, cfg)
-            print(write_dataset(ds, cfg, f"figure_{args.figure_id}"))
-            return 3 if any(row[-1] for row in ds.rows) else 0
-        if args.command == "oracle-compare":
-            ds = oracle_compare(cfg)
-            print(write_dataset(ds, cfg, "oracle_compare"))
-            return 0
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, args.axis, args.pipeline)
+            ds, name = run_figure(args.figure_id, cfg), f"figure_{args.figure_id}"
+        elif args.command == "oracle-compare":
+            ds, name = oracle_compare(cfg), "oracle_compare"
+        elif args.command == "thermo":
+            ds, name = _sweep_dataset(cfg, "thermo"), "thermo"
+        else:
+            ds = _sweep_dataset(cfg, f"sweep-{args.pipeline}", args.axis, args.pipeline)
+            name = f"sweep_{args.pipeline}"
+        print(write_dataset(ds, cfg, name))
+        # the oracle table's "fock" flag labels its Fock-space row, not a failure
+        flagged = args.command != "oracle-compare" and any(r[-1] for r in ds.rows)
+        return 3 if flagged else 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except QbmError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

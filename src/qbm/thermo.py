@@ -9,7 +9,7 @@ discretized model per normal mode.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class ThermoPoint:
     heat_capacity: float
     z_reduced: float
     error: str | None = None
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.temperature
 
 
 def internal_energy_hamiltonian(h: ReducedHamiltonian, m: Moments) -> float:
@@ -137,6 +133,9 @@ def exact_point(cfg: SpectralConfig, temperature: float,
                        internal_energy=u, heat_capacity=c, z_reduced=z)
 
 
+_PIPELINES = ("exact", "drop-imaginary", "drop-pairing", "naive")
+
+
 def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
           t_ref: float = 5.0, fixed_temperature: float = 1.0,
           modes: ModeList | Sequence[ModeList] | None = None
@@ -157,51 +156,55 @@ def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
         raise InvalidGrid("sweep grid must be positive and strictly increasing")
     if axis not in ("temperature", "coupling"):
         raise InvalidGrid(f"unknown sweep axis {axis!r}")
+    if pipeline not in _PIPELINES:
+        raise InvalidGrid(f"unknown pipeline {pipeline!r}")
 
+    # one (coupling, temperatures, naive bath) group per coupling
     if axis == "temperature":
-        temps, couplings = [float(t) for t in grid], [cfg.gamma] * len(grid)
+        if pipeline == "naive" and not isinstance(modes, ModeList):
+            raise InvalidGrid("naive temperature sweep requires a ModeList")
+        groups = [(cfg.gamma, [float(t) for t in grid], modes)]
     else:
-        temps, couplings = [fixed_temperature] * len(grid), [float(g) for g in grid]
-    if pipeline == "naive":
-        if axis == "temperature":
-            if not isinstance(modes, ModeList):
-                raise InvalidGrid("naive temperature sweep requires a ModeList")
-            return _naive_points(modes, temps, couplings, cfg.counterterm)
-        if modes is None or isinstance(modes, ModeList) or len(modes) != len(grid):
+        if pipeline == "naive" and (modes is None or isinstance(modes, ModeList)
+                                    or len(modes) != len(grid)):
             raise InvalidGrid("naive coupling sweep requires one ModeList per "
                               "coupling, discretized at that coupling")
-        return [point for ml, t, g in zip(modes, temps, couplings)
-                for point in _naive_points(ml, [t], [g], cfg.counterterm)]
-
-    h_cache: ReducedHamiltonian | None = None
-    if axis == "temperature":
-        try:
-            h_cache = reduced_hamiltonian_at(cfg, t_ref)
-        except QbmError:
-            h_cache = None  # per-point evaluation will record the failure
+        baths = modes if pipeline == "naive" else [None] * len(grid)
+        groups = [(float(g), [fixed_temperature], b) for g, b in zip(grid, baths)]
 
     points: list[ThermoPoint] = []
-    for temperature, coupling in zip(temps, couplings):
-        point_cfg = cfg if axis == "temperature" else SpectralConfig(
-            gamma=coupling, cutoff=cfg.cutoff, counterterm=cfg.counterterm)
+    for coupling, temps, bath in groups:
+        if pipeline == "naive":
+            points += _naive_points(bath, temps, coupling, cfg.counterterm)
+            continue
+        point_cfg = replace(cfg, gamma=coupling)
         try:
-            points.append(_sweep_point(point_cfg, temperature, pipeline,
-                                       t_ref, h_cache))
-        except QbmError as exc:  # collected per point, not fatal
-            points.append(_failed_point(temperature, coupling, exc))
+            h = reduced_hamiltonian_at(point_cfg, t_ref)
+        except QbmError as exc:  # flags every point of this coupling
+            points += [_failed_point(t, coupling, exc) for t in temps]
+            continue
+        for temperature in temps:
+            try:
+                point = exact_point(point_cfg, temperature, h=h)
+                if pipeline != "exact":
+                    point = replace(point, heat_capacity=heat_capacity_incomplete(
+                        pipeline, h, temperature))
+            except QbmError as exc:  # collected per point, not fatal
+                point = _failed_point(temperature, coupling, exc)
+            points.append(point)
     return points
 
 
-def _naive_points(modes: ModeList, temps: list[float], couplings: list[float],
+def _naive_points(modes: ModeList, temps: list[float], coupling: float,
                   counterterm: bool) -> list[ThermoPoint]:
     try:
         energies, capacities = naive_curves(modes, [1.0 / t for t in temps],
                                             counterterm)
     except QbmError as exc:  # one decomposition serves every point
-        return [_failed_point(t, g, exc) for t, g in zip(temps, couplings)]
-    return [ThermoPoint(temperature=t, coupling=g, internal_energy=u,
+        return [_failed_point(t, coupling, exc) for t in temps]
+    return [ThermoPoint(temperature=t, coupling=coupling, internal_energy=u,
                         heat_capacity=c, z_reduced=float("nan"))
-            for t, g, u, c in zip(temps, couplings, energies, capacities)]
+            for t, u, c in zip(temps, energies, capacities)]
 
 
 def _failed_point(temperature: float, coupling: float,
@@ -210,18 +213,3 @@ def _failed_point(temperature: float, coupling: float,
                        internal_energy=float("nan"), heat_capacity=float("nan"),
                        z_reduced=float("nan"),
                        error=f"{type(exc).__name__}: {exc}")
-
-
-def _sweep_point(cfg: SpectralConfig, temperature: float, pipeline: str,
-                 t_ref: float,
-                 h_cache: ReducedHamiltonian | None) -> ThermoPoint:
-    h = h_cache if h_cache is not None else reduced_hamiltonian_at(cfg, t_ref)
-    if pipeline == "exact":
-        return exact_point(cfg, temperature, h=h)
-    if pipeline in ("drop-imaginary", "drop-pairing"):
-        base = exact_point(cfg, temperature, h=h)
-        c = heat_capacity_incomplete(pipeline, h, temperature)
-        return ThermoPoint(temperature=temperature, coupling=cfg.gamma,
-                           internal_energy=base.internal_energy,
-                           heat_capacity=c, z_reduced=base.z_reduced)
-    raise InvalidGrid(f"unknown pipeline {pipeline!r}")

@@ -1,11 +1,13 @@
 """Configuration parsing, figure datasets, serialization and the CLI."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qbm import ConfigError
+from qbm import ConfigError, cli
 from qbm.cli import (FIGURE_IDS, RunConfig, main, oracle_compare, parse_config,
                      render_csv, render_json, run_figure)
 
@@ -45,6 +47,36 @@ class TestParseConfig:
         cfg = parse_config(str(path))
         assert len(cfg.temperatures) == 5
         assert cfg.gammas == (0.1, 0.5)
+
+    def test_zero_reference_temperature_names_t_ref(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"t_ref": "0"})
+        assert err.value.key == "t_ref"
+
+    def test_linear_grid_may_start_at_zero(self):
+        assert parse_config(overrides={"gammas": "lin:0:3:4"}).gammas == (
+            0.0, 1.0, 2.0, 3.0)
+        with pytest.raises(ConfigError) as err:  # a geometric grid may not
+            parse_config(overrides={"gammas": "geom:0:3:4"})
+        assert err.value.key == "gammas"
+        for key in ("gammas", "temperatures"):  # the sign checks still apply
+            with pytest.raises(ConfigError, match="grid values") as err:
+                parse_config(overrides={key: "lin:-1:1:3"})
+            assert err.value.key == key
+
+    @pytest.mark.parametrize("value", [0, 1.0, [True]])
+    def test_non_boolean_is_config_error(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"timestamp": value})
+        assert err.value.key == "timestamp"
+
+    def test_keys_coerced_to_default_types(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k_c = 80\nout = 7\ncounterterm = no\ngammas = 1\n")
+        cfg = parse_config(str(path), overrides={"cutoff": "5", "fmt": "json"})
+        assert (cfg.k_c, cfg.out, cfg.counterterm, cfg.gammas) == (80, "7", False, (1.0,))
+        assert (cfg.cutoff, cfg.fmt) == (5.0, "json")
+        assert type(cfg.k_c) is int and type(cfg.cutoff) is float
 
     def test_bad_method(self):
         # there is one continuum solver, so "method" is no longer a key
@@ -100,6 +132,37 @@ class TestFigures:
     def test_unknown_figure(self, small_cfg):
         with pytest.raises(ConfigError):
             run_figure("9z", small_cfg)
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_flagged_rows_keep_the_schema(self, figure_id):
+        # without the counterterm the default cutoff inverts the potential
+        # beyond gamma = 0.05, so rows there carry the failure's class name
+        cfg = parse_config(overrides={"counterterm": False, "gammas": "0.01,0.5",
+                                      "temperatures": "geom:0.5:2:3", "k_c": 40})
+        ds = run_figure(figure_id, cfg)
+        assert all(len(row) == len(ds.columns) for row in ds.rows)
+        flagged = [row for row in ds.rows if row[-1]]
+        assert flagged
+        for row in flagged:
+            assert row[-1] == "InvertedPotential" and math.isnan(row[-2])
+
+    def test_one_extraction_per_coupling(self, small_cfg, monkeypatch):
+        calls = []
+        original = cli.reduced_hamiltonian_at
+
+        def counting(cfg, t_ref):
+            calls.append(cfg.gamma)
+            return original(cfg, t_ref)
+
+        monkeypatch.setattr(cli, "reduced_hamiltonian_at", counting)
+        for figure_id in ("3a", "3b", "4a", "4b"):
+            calls.clear()
+            run_figure(figure_id, small_cfg)
+            assert calls == list(small_cfg.gammas)
+        calls.clear()  # a failed extraction flags its rows without a retry
+        ds = run_figure("3a", replace(small_cfg, counterterm=False, gammas=(0.5,)))
+        assert calls == [0.5]
+        assert {row[-1] for row in ds.rows} == {"InvertedPotential"}
 
 
 class TestSerialization:
@@ -194,6 +257,53 @@ class TestMain:
                 if not l.startswith("#")][1:]
         assert [float(r[1]) for r in rows] == [0.1, 0.5, 1.0]
         assert len({r[3] for r in rows}) == 3   # one C per coupling
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--temperatures", "2,1", "thermo"], "temperatures"),
+        (["--temperatures", "1,1", "thermo"], "temperatures"),
+        (["--temperatures", "2,1", "sweep"], "temperatures"),
+        (["--gammas", "0,0.5", "sweep", "--axis", "coupling"], "gammas"),
+        (["--gammas", "1,0.5", "sweep", "--axis", "coupling",
+          "--pipeline", "naive"], "gammas")])
+    def test_invalid_sweep_grid_exit_code(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "sweep.csv"
+        assert main(["--out", str(out)] + argv) == 2
+        assert f"configuration error: {key}: sweep grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figures_accept_unsorted_grids(self, tmp_path):
+        out = tmp_path / "fig.csv"
+        assert main(["--temperatures", "2,0.5,1", "--gammas", "0.5,0.1",
+                     "--out", str(out), "figure", "3a"]) == 0
+
+    def test_no_counterterm_flags_rows(self, tmp_path, capsys):
+        out = tmp_path / "thermo.csv"
+        code = main(["--temperatures", "1,2", "--no-counterterm", "--no-timestamp",
+                     "--out", str(out), "thermo"])
+        assert code == 3
+        text = out.read_text()
+        assert "# counterterm: False" in text
+        rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 2
+        assert all(",InvertedPotential: " in row for row in rows)
+
+    def test_timestamp_by_default(self, tmp_path):
+        out = tmp_path / "thermo.csv"
+        assert main(["--temperatures", "1,2", "--out", str(out), "thermo"]) == 0
+        assert "# timestamp: " in out.read_text()
+        assert main(["--temperatures", "1,2", "--no-timestamp", "--out", str(out),
+                     "thermo"]) == 0
+        assert "# timestamp: " not in out.read_text()
+
+    def test_oracle_compare_exits_zero_with_flags(self, tmp_path, capsys):
+        # the oracle table's flags (a failed continuum solve, the Fock row's
+        # "fock" label) do not turn into a failing exit code
+        out = tmp_path / "oracle.csv"
+        code = main(["--no-counterterm", "--n-max", "8", "--no-timestamp",
+                     "--out", str(out), "oracle-compare"])
+        assert code == 0
+        text = out.read_text()
+        assert ",InvertedPotential" in text and text.endswith(",fock\n")
 
     def test_thermo_command(self, tmp_path):
         out = tmp_path / "thermo.csv"

@@ -236,3 +236,38 @@ class TestSweep:
             sweep("temperature", [], CFG)
         with pytest.raises(InvalidGrid):
             sweep("pressure", [1.0], CFG)
+        with pytest.raises(InvalidGrid, match="pipeline"):
+            sweep("temperature", [1.0], CFG, pipeline="bogus")
+        with pytest.raises(InvalidGrid, match="pipeline"):
+            sweep("coupling", [0.5], CFG, pipeline="bogus")
+
+    @pytest.mark.parametrize("counterterm", [True, False])
+    def test_one_extraction_per_coupling(self, monkeypatch, counterterm):
+        # a failed extraction is not retried point by point either
+        calls = []
+        original = thermo.reduced_hamiltonian_at
+
+        def counting(cfg, t_ref):
+            calls.append(cfg.gamma)
+            return original(cfg, t_ref)
+
+        monkeypatch.setattr(thermo, "reduced_hamiltonian_at", counting)
+        cfg = SpectralConfig(0.5, 20.0, counterterm=counterterm)
+        points = sweep("temperature", np.geomspace(0.1, 3, 8), cfg,
+                       pipeline="drop-pairing")
+        assert calls == [0.5] and len(points) == 8
+        assert all((p.error is None) == counterterm for p in points)
+        calls.clear()
+        sweep("coupling", [0.1, 0.5, 1.0], cfg, pipeline="drop-imaginary")
+        assert calls == [0.1, 0.5, 1.0]
+
+    @pytest.mark.parametrize("pipeline", ["drop-imaginary", "drop-pairing"])
+    def test_incomplete_pipelines_change_only_the_capacity(self, pipeline):
+        temps = [0.2, 1.0, 3.0]
+        exact = sweep("temperature", temps, CFG, pipeline="exact")
+        dropped = sweep("temperature", temps, CFG, pipeline=pipeline)
+        h = reduced_hamiltonian_at(CFG, 5.0)
+        for t, e, d in zip(temps, exact, dropped):
+            assert d.heat_capacity == heat_capacity_incomplete(pipeline, h, t)
+            assert (d.internal_energy, d.z_reduced, d.error) == (
+                e.internal_energy, e.z_reduced, None)
