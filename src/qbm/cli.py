@@ -182,7 +182,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # ---------------------------------------------------------------------------
 
 def _meta(cfg: RunConfig, **extra) -> dict:
-    return {"version": __version__, "gamma": cfg.gamma, "cutoff": cfg.cutoff,
+    """Preamble keys; a dataset adds ``gamma`` only when every row uses it."""
+    return {"version": __version__, "cutoff": cfg.cutoff,
             "counterterm": cfg.counterterm, "t_ref": cfg.t_ref,
             "cross_validation_tolerance": 1e-4, **extra}
 
@@ -376,8 +377,9 @@ def _sweep_dataset(cfg: RunConfig, name: str, axis: str = "temperature",
                    modes=modes)
     rows = [[p.temperature, p.coupling, p.internal_energy, p.heat_capacity,
              p.z_reduced, p.error or ""] for p in points]
+    fixed = {"gamma": cfg.gamma} if axis == "temperature" else {}
     return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],
-                         rows, _meta(cfg, axis=axis)).validate()
+                         rows, _meta(cfg, axis=axis, **fixed)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +405,18 @@ def render_csv(ds: FigureDataset, timestamp: bool) -> str:
 
 
 def render_json(ds: FigureDataset, timestamp: bool) -> str:
+    """Strict JSON: a NaN or infinite value (a flagged row) is written null."""
     payload = {
         "dataset": ds.figure_id,
         "metadata": {k: ds.metadata[k] for k in sorted(ds.metadata)},
         "columns": ds.columns,
-        "rows": ds.rows,
+        "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
+                  for v in row] for row in ds.rows],
     }
     if timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    return json.dumps(payload, indent=1, default=_format_value) + "\n"
+    return json.dumps(payload, indent=1, default=_format_value,
+                      allow_nan=False) + "\n"
 
 
 def write_dataset(ds: FigureDataset, cfg: RunConfig, default_name: str) -> str:

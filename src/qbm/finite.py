@@ -27,8 +27,9 @@ _RCOND_FLOOR = 1e-14
 # baths (k_c = 100-400, counterterm on and off) took 5-10 sweeps
 _SECULAR_SWEEPS = 40
 # largest change of n, s or ln Z_red that ``fock_oracle`` accepts when its
-# occupation caps are raised
+# occupation caps are raised by _TRUNCATION_DELTA
 _TRUNCATION_TOL = 1e-5
+_TRUNCATION_DELTA = 10
 _EPS = np.finfo(float).eps
 
 
@@ -380,15 +381,15 @@ def _ladder(dim: int) -> np.ndarray:
 
 
 def fock_oracle(modes: ModeList, beta: float, n_max,
-                counterterm: bool = False, check_truncation: bool = True,
-                truncation_delta: int = 10) -> FockResult:
+                counterterm: bool = False,
+                check_truncation: bool = True) -> FockResult:
     """Diagonalize the truncated Fock-space Hamiltonian and trace numerically.
 
     ``n_max`` is a single occupation cap or one per mode (system first);
     caps are integers >= 1.  Total parity is conserved, so the Hamiltonian
     is built, diagonalized and traced over the bath in two parity blocks.
     The truncation error is estimated by re-running with every cap raised
-    by ``truncation_delta``; a change above ``_TRUNCATION_TOL`` raises
+    by ``_TRUNCATION_DELTA``; a change above ``_TRUNCATION_TOL`` raises
     ``TruncationError``.
     """
     _check_beta(beta)
@@ -403,7 +404,7 @@ def fock_oracle(modes: ModeList, beta: float, n_max,
     result = _fock_once(modes, beta, caps, counterterm)
     if not check_truncation:
         return result
-    bigger = _fock_once(modes, beta, [c + truncation_delta for c in caps],
+    bigger = _fock_once(modes, beta, [c + _TRUNCATION_DELTA for c in caps],
                         counterterm)
     drift = max(abs(result.moments.occupation - bigger.moments.occupation),
                 abs(result.moments.squeezing - bigger.moments.squeezing),

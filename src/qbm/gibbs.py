@@ -1,7 +1,7 @@
 """Operator-level description of the reduced state.
 
-Converts second moments into Gibbs coefficients, the renormalized
-Hamiltonian (frequency shift plus induced pairing), its Bogoliubov
+Converts second moments into the renormalized Hamiltonian (frequency
+shift plus induced pairing) of the reduced Gibbs state, its Bogoliubov
 diagonalization, the extended Bose-Einstein distribution, and the
 position-momentum representation with the canonical transformation to
 quasi-particle coordinates.
@@ -15,22 +15,7 @@ import numpy as np
 
 from .errors import BranchAmbiguity, UnstableReducedPotential, ZeroTemperature
 from .spectral import OMEGA_S, bose_occupation
-from .state import Moments, moments_to_kernel
-
-
-@dataclass(frozen=True)
-class GibbsCoefficients:
-    """Coefficients of rho = exp[eta(ad a + a ad) + delta* ad^2 + delta a^2]/Z.
-
-    ``alpha`` and ``gamma`` parametrize the equivalent ordered form
-    exp(alpha ad^2) exp(gamma(ad a + a ad)) exp(alpha* a^2)/Z.
-    """
-
-    alpha: complex
-    gamma: float
-    eta: float
-    delta: complex
-    z_reduced: float
+from .state import Moments
 
 
 @dataclass(frozen=True)
@@ -72,7 +57,6 @@ class PositionForm:
     harmonic: float
     cross: float
     transform: np.ndarray
-    mass: float = 1.0
 
     @property
     def eigenfrequency(self) -> float:
@@ -94,12 +78,14 @@ def _branch_root(moments: Moments) -> float:
     return float(np.sqrt(val))
 
 
-def gibbs_coefficients(moments: Moments) -> GibbsCoefficients:
-    """Coefficients of the reduced Gibbs exponentials from (n, s).
+def reduced_hamiltonian(moments: Moments, temperature: float) -> ReducedHamiltonian:
+    """Renormalized frequency and pairing from moments at the given temperature.
 
-    The pairing coefficient is proportional to the conjugate of the
-    squeezing, fixed by requiring that the extended Bose-Einstein relation
-    inverts this map exactly.
+    rho = exp(-H^R/T)/Z_S with H^R = omega_r (ad a + 1/2) + (Delta_r* ad^2 +
+    Delta_r a^2)/2 gives omega_r = (n + 1/2) L T/x and Delta_r = -s* L T/x,
+    x = sqrt((n + 1/2)^2 - |s|^2).  L = ln((x + 1/2)/(x - 1/2)) is taken as
+    log1p((x + 1/2)/z2), z2 = x^2 - 1/4 = n^2 + n - |s|^2, so it keeps its
+    relative accuracy at both temperature ends.
     """
     n, s = moments.occupation, moments.squeezing
     if n <= 0 and abs(s) == 0:
@@ -109,21 +95,9 @@ def gibbs_coefficients(moments: Moments) -> GibbsCoefficients:
     if z2 <= 0:
         raise ZeroTemperature(
             f"n^2 + n - |s|^2 = {z2:.3e} <= 0: zero-temperature edge")
-    log_ratio = float(np.log((x - 0.5) / (x + 0.5)))
-    eta = (n + 0.5) * log_ratio / (2 * x)
-    delta = -np.conj(s) * log_ratio / (2 * x)
-    kernel = moments_to_kernel(moments)
-    alpha = kernel.pi_s / 2
-    gamma = float(np.log(np.sqrt(kernel.omega_s.real)))
-    return GibbsCoefficients(alpha=complex(alpha), gamma=gamma, eta=float(eta),
-                             delta=complex(delta), z_reduced=float(np.sqrt(z2)))
-
-
-def reduced_hamiltonian(moments: Moments, temperature: float) -> ReducedHamiltonian:
-    """Renormalized frequency and pairing from moments at the given temperature."""
-    coeff = gibbs_coefficients(moments)
-    return ReducedHamiltonian(omega=-2 * coeff.eta * temperature,
-                              pairing=-2 * coeff.delta * temperature)
+    scale = float(np.log1p((x + 0.5) / z2)) / x * temperature
+    return ReducedHamiltonian(omega=(n + 0.5) * scale,
+                              pairing=-complex(s).conjugate() * scale)
 
 
 def bogoliubov(h: ReducedHamiltonian) -> BogoliubovFrame:
@@ -167,36 +141,28 @@ def quasiparticle_occupation(moments: Moments) -> float:
     return _branch_root(moments) - 0.5
 
 
-def position_form(h: ReducedHamiltonian, mass: float = 1.0) -> PositionForm:
+def position_form(h: ReducedHamiltonian) -> PositionForm:
     """Position-momentum representation of the reduced Hamiltonian.
 
-    M' = M omega_S / (omega_r - Re Delta); the harmonic coefficient is
-    omega_r^2 - (Re Delta)^2 and the cross coefficient Im Delta, so the
-    classical eigenfrequency of the form equals the Bogoliubov one.
+    M' = M omega_S/(omega_r - Re Delta) in the moments' unit M omega_S = 1;
+    the harmonic coefficient is omega_r^2 - (Re Delta)^2 and the cross one
+    Im Delta, so the form's eigenfrequency equals the Bogoliubov one.
     """
-    if mass <= 0:
-        raise UnstableReducedPotential("mass must be positive")
     if h.omega <= h.pairing.real:
         raise UnstableReducedPotential(
             f"omega_r = {h.omega:.6g} <= Re Delta = {h.pairing.real:.6g}")
-    mass_eff = mass * OMEGA_S / (h.omega - h.pairing.real)
-    frame = bogoliubov(h)
-    transform = coordinate_transform(frame, mass, mass_eff)
+    mass_eff = OMEGA_S / (h.omega - h.pairing.real)
     return PositionForm(mass_eff=float(mass_eff),
                         harmonic=float(h.omega**2 - h.pairing.real**2),
                         cross=float(h.pairing.imag),
-                        transform=transform, mass=mass)
+                        transform=_coordinate_transform(bogoliubov(h), mass_eff))
 
 
-def coordinate_transform(frame: BogoliubovFrame, mass: float,
-                         mass_eff: float) -> np.ndarray:
+def _coordinate_transform(frame: BogoliubovFrame, mass_eff: float) -> np.ndarray:
     """Canonical matrix taking (X, P) to the quasi-particle pair (Xbar, Pbar)."""
     u, v = frame.u, frame.v
-    wbar = frame.eigenfrequency
-    mw = mass * OMEGA_S
-    mw_bar = mass_eff * wbar
-    pref = np.sqrt(mw_bar / mw)
-    return pref * np.array([
-        [(u.real + v.real) * mw / mw_bar, (v.imag - u.imag) / mw_bar],
-        [(u.imag + v.imag) * mw, (u.real - v.real)],
+    mw_bar = mass_eff * frame.eigenfrequency  # in units of M omega_S = 1
+    return np.sqrt(mw_bar) * np.array([
+        [(u.real + v.real) / mw_bar, (v.imag - u.imag) / mw_bar],
+        [u.imag + v.imag, u.real - v.real],
     ])

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import NonNormalizable
 
 _IM_TOL = 1e-8
+_MOMENTS_RTOL = 1e-10  # relative slack of Moments.validate
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,12 @@ class Moments:
     occupation: float
     squeezing: complex
 
-    def validate(self, rtol: float = 1e-10) -> "Moments":
+    def validate(self) -> "Moments":
         n, s2 = self.occupation, abs(self.squeezing)**2
-        if n < -rtol:
+        if n < -_MOMENTS_RTOL:
             raise NonNormalizable(f"occupation {n} < 0")
         bound = n * (n + 1)
-        if s2 > bound + rtol * max(bound, 1.0):
+        if s2 > bound + _MOMENTS_RTOL * max(bound, 1.0):
             raise NonNormalizable(
                 f"|s|^2 = {s2:.6e} exceeds n(n+1) = {bound:.6e}")
         return self

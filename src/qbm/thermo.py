@@ -114,15 +114,12 @@ def reduced_hamiltonian_at(cfg: SpectralConfig,
 
 
 def exact_point(cfg: SpectralConfig, temperature: float,
-                h: ReducedHamiltonian | None = None) -> ThermoPoint:
+                h: ReducedHamiltonian) -> ThermoPoint:
     """Exact-pipeline observables at one temperature.
 
-    When ``h`` is given (typically extracted once at a reference temperature)
-    the closed forms in its eigenfrequency are used; otherwise the reduced
-    Hamiltonian is extracted at ``temperature`` itself.
+    Uses the closed forms in the eigenfrequency of ``h``, typically extracted
+    once at a reference temperature.
     """
-    if h is None:
-        h = reduced_hamiltonian_at(cfg, temperature)
     m = extended_bose_einstein(h, temperature)
     wbar = h.eigenfrequency
     u = internal_energy_hamiltonian(h, m)

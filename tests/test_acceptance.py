@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from qbm import (ModeList, SpectralConfig, bogoliubov, discretize,
-                 extended_bose_einstein, fock_oracle, gibbs_coefficients,
-                 heat_capacity_exact, heat_capacity_incomplete,
-                 internal_energy_hamiltonian, internal_energy_partition,
-                 kernel_to_moments, matsubara_moments, moments_to_kernel,
-                 naive_curves, oracle_moments, position_form,
-                 quasiparticle_occupation, reduced_hamiltonian,
-                 reduced_hamiltonian_at, reduced_partition, solve_kernel)
+                 extended_bose_einstein, fock_oracle, heat_capacity_exact,
+                 heat_capacity_incomplete, internal_energy_hamiltonian,
+                 internal_energy_partition, kernel_to_moments,
+                 matsubara_moments, moments_to_kernel, naive_curves,
+                 oracle_moments, position_form, quasiparticle_occupation,
+                 reduced_hamiltonian, reduced_hamiltonian_at,
+                 reduced_partition, solve_kernel)
 from qbm.cli import FIGURE_IDS, parse_config, render_csv, run_figure
 from qbm.finite import (gaussian_partial_trace, log_partition_total,
                         total_gaussian)

@@ -183,6 +183,18 @@ class TestSerialization:
         assert payload["columns"][0] == "T"
         assert len(payload["rows"]) == 60
 
+    def test_gamma_echoed_only_where_every_row_uses_it(self, small_cfg):
+        datasets = {f: run_figure(f, small_cfg) for f in FIGURE_IDS}
+        datasets["oracle-compare"] = oracle_compare(
+            small_cfg, gammas=(0.0,), temperatures=(1.0,), ladder=(10,))
+        for axis in ("temperature", "coupling"):
+            datasets[axis] = cli._sweep_dataset(small_cfg, "sweep-exact", axis)
+        echoed = {key for key, ds in datasets.items() if "gamma" in ds.metadata}
+        assert echoed == {"2a", "2b", "temperature"}
+        assert datasets["2b"].metadata["gamma"] == 0.5
+        sweep = datasets["temperature"]
+        assert {row[1] for row in sweep.rows} == {sweep.metadata["gamma"]}
+
 
 class TestOracleCompare:
     def test_table(self):
@@ -286,6 +298,21 @@ class TestMain:
         rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 2
         assert all(",InvertedPotential: " in row for row in rows)
+
+    def test_flagged_json_is_strict(self, tmp_path):
+        # a flagged row's NaN values are written as null, never as NaN
+        out = tmp_path / "fig.json"
+        code = main(["--no-counterterm", "--format", "json", "--no-timestamp",
+                     "--out", str(out), "figure", "2a"])
+        assert code == 3
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["rows"]
+        assert all(row[1:] == [None, None, "InvertedPotential"]
+                   for row in payload["rows"])
 
     def test_timestamp_by_default(self, tmp_path):
         out = tmp_path / "thermo.csv"

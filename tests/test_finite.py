@@ -552,16 +552,14 @@ class TestFockOracle:
             log_partition_total(ONE_MODE, 1.0), abs=1e-9)
 
     def test_truncation_check_passes_when_converged(self):
-        res = fock_oracle(ONE_MODE, 1.0, 44, check_truncation=True,
-                          truncation_delta=8)
+        res = fock_oracle(ONE_MODE, 1.0, 44, check_truncation=True)
         assert res.truncation is not None and res.truncation < 1e-8
 
     def test_truncation_error_detected(self):
         # hot state: occupation ~ 4.5 makes n_max = 40 visibly insufficient
         modes = ModeList(frequencies=np.array([2.0]), couplings=np.array([0.1]))
         with pytest.raises(TruncationError):
-            fock_oracle(modes, 0.2, 40, check_truncation=True,
-                        truncation_delta=10)
+            fock_oracle(modes, 0.2, 40, check_truncation=True)
 
     def test_two_bath_modes(self):
         res = fock_oracle(TWO_MODES, 1.2, (22, 14, 14), counterterm=True,

@@ -1,13 +1,13 @@
-"""Gibbs coefficients, Bogoliubov frame and position representation."""
+"""Reduced Hamiltonian, Bogoliubov frame and position representation."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from qbm import (BranchAmbiguity, Moments, SpectralConfig,
                  UnstableReducedPotential, ZeroTemperature, bogoliubov,
-                 coordinate_transform, extended_bose_einstein,
-                 gibbs_coefficients, matsubara_moments, moments_to_kernel,
-                 position_form, quasiparticle_occupation, reduced_hamiltonian)
+                 extended_bose_einstein, matsubara_moments, position_form,
+                 quasiparticle_occupation, reduced_hamiltonian)
 from qbm.gibbs import ReducedHamiltonian
 
 THERMAL = Moments(occupation=1 / (np.e - 1), squeezing=0j)
@@ -24,47 +24,47 @@ def random_hamiltonians(count, seed=13):
     return out
 
 
-class TestGibbsCoefficients:
-    def test_thermal_reduction(self):
-        coeff = gibbs_coefficients(THERMAL)
-        assert coeff.eta == pytest.approx(-0.5, rel=1e-12)
-        assert coeff.delta == 0
-        assert coeff.z_reduced == pytest.approx(0.9595173756674539, rel=1e-9)
-
-    def test_alpha_is_half_kernel(self):
-        m = Moments(occupation=1.0, squeezing=0.5 + 0.2j)
-        coeff = gibbs_coefficients(m)
-        kernel = moments_to_kernel(m)
-        assert coeff.alpha == kernel.pi_s / 2
-
-    def test_kernel_reconstruction(self):
-        # (alpha, gamma) regenerate (Omega_S, Pi_S): Omega = e^{2 gamma}, Pi = 2 alpha
-        m = Moments(occupation=1.0, squeezing=0.5 + 0j)
-        coeff = gibbs_coefficients(m)
-        kernel = moments_to_kernel(m)
-        assert np.exp(2 * coeff.gamma) == pytest.approx(kernel.omega_s.real,
-                                                        rel=1e-10)
-        assert 2 * coeff.alpha == pytest.approx(kernel.pi_s, rel=1e-10)
-
-    def test_zero_temperature_edge(self):
-        with pytest.raises(ZeroTemperature):
-            gibbs_coefficients(Moments(occupation=0.0, squeezing=0j))
-
-    def test_branch_ambiguity_surfaced(self):
-        bad = Moments(occupation=0.1, squeezing=0.65 + 0j)
-        with pytest.raises(BranchAmbiguity):
-            gibbs_coefficients(bad)
-
-
 class TestReducedHamiltonian:
     def test_thermal_gives_unit_frequency(self):
         h = reduced_hamiltonian(THERMAL, 1.0)
         assert h.omega == pytest.approx(1.0, rel=1e-12)
         assert h.pairing == 0
 
+    @pytest.mark.parametrize("temperature", [0.1, 0.03, 0.01])
+    def test_thermal_frequency_as_temperature_goes_to_zero(self, temperature):
+        # n = 1/expm1(1/T) falls below the rounding of x - 1/2 near x = 1/2
+        m = Moments(occupation=1 / np.expm1(1 / temperature), squeezing=0j)
+        h = reduced_hamiltonian(m, temperature)
+        assert h.omega == pytest.approx(1.0, rel=1e-14)
+
+    def test_zero_temperature_edge(self):
+        with pytest.raises(ZeroTemperature):
+            reduced_hamiltonian(Moments(occupation=0.0, squeezing=0j), 1.0)
+
+    def test_branch_ambiguity_surfaced(self):
+        bad = Moments(occupation=0.1, squeezing=0.65 + 0j)
+        with pytest.raises(BranchAmbiguity):
+            reduced_hamiltonian(bad, 1.0)
+
     def test_unstable_guard(self):
         with pytest.raises(UnstableReducedPotential):
             ReducedHamiltonian(omega=0.5, pairing=0.6 + 0j)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-2, 0.3, 1.0, 3.0])
+    def test_matches_mpmath_at_both_temperature_ends(self, gamma):
+        # L = ln((x + 1/2)/(x - 1/2)) cancels as x -> infinity (high T) and
+        # x -> 1/2 (low T); the closed form must keep full relative accuracy
+        # on the moments it is given
+        with mpmath.workdps(50):
+            for temp in (0.02, 0.05, 0.2, 1.0, 10.0, 1e3, 1e5):
+                m = matsubara_moments(SpectralConfig(gamma, 20.0), 1.0 / temp)
+                h = reduced_hamiltonian(m, temp)
+                n, s = mpmath.mpf(m.occupation), mpmath.mpc(m.squeezing)
+                x = mpmath.sqrt((n + 0.5)**2 - abs(s)**2)
+                scale = mpmath.log((x + 0.5) / (x - 0.5)) / x * temp
+                omega, pairing = (n + 0.5) * scale, -mpmath.conj(s) * scale
+                assert abs(h.omega - omega) <= 1e-14 * omega
+                assert abs(h.pairing - pairing) <= 1e-14 * abs(pairing)
 
     def test_coupling_trend_at_high_temperature(self):
         # stronger coupling lowers omega_r and raises |Delta_r|
@@ -175,13 +175,13 @@ class TestQuasiparticleOccupation:
 
 class TestPositionForm:
     def test_no_pairing(self):
-        form = position_form(ReducedHamiltonian(omega=0.8, pairing=0j), mass=1.0)
+        form = position_form(ReducedHamiltonian(omega=0.8, pairing=0j))
         assert form.mass_eff == pytest.approx(1.0 / 0.8, rel=1e-12)
         assert form.cross == 0.0
         assert form.harmonic == pytest.approx(0.64, rel=1e-12)
 
     def test_imaginary_pairing_coefficients(self):
-        form = position_form(ReducedHamiltonian(omega=1.0, pairing=0.3j), mass=1.0)
+        form = position_form(ReducedHamiltonian(omega=1.0, pairing=0.3j))
         assert form.cross == pytest.approx(0.3, rel=1e-12)
         assert form.harmonic == pytest.approx(1.0, rel=1e-12)
         assert form.mass_eff == pytest.approx(1.0, rel=1e-12)
@@ -194,16 +194,11 @@ class TestPositionForm:
             assert form.eigenfrequency == pytest.approx(h.eigenfrequency,
                                                         abs=1e-10)
 
-    def test_mass_guard(self):
-        with pytest.raises(UnstableReducedPotential):
-            position_form(ReducedHamiltonian(omega=1.0, pairing=0.3j), mass=0.0)
-
 
 class TestCoordinateTransform:
     def test_identity_limit(self):
-        frame = bogoliubov(ReducedHamiltonian(omega=1.0, pairing=0j))
-        mat = coordinate_transform(frame, mass=1.0, mass_eff=1.0)
-        np.testing.assert_allclose(mat, np.eye(2), atol=1e-14)
+        form = position_form(ReducedHamiltonian(omega=1.0, pairing=0j))
+        np.testing.assert_allclose(form.transform, np.eye(2), atol=1e-14)
 
     def test_determinant_one(self):
         for h in random_hamiltonians(40, seed=19):
