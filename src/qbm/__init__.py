@@ -29,4 +29,4 @@ from .gibbs import (BogoliubovFrame, PositionForm, ReducedHamiltonian,
 from .thermo import (ThermoPoint, exact_point, heat_capacity_exact,
                      heat_capacity_incomplete, internal_energy_hamiltonian,
                      internal_energy_partition, naive_curves,
-                     reduced_hamiltonian_at, sweep)
+                     reduced_hamiltonian_at)

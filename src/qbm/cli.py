@@ -22,9 +22,9 @@ from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
 from .gibbs import extended_bose_einstein, reduced_hamiltonian
 from .spectral import ModeList, SpectralConfig, discretize
-from .thermo import (heat_capacity_exact, heat_capacity_incomplete,
+from .thermo import (exact_point, heat_capacity_exact, heat_capacity_incomplete,
                      internal_energy_hamiltonian, internal_energy_partition,
-                     naive_curves, reduced_hamiltonian_at, sweep)
+                     naive_curves, reduced_hamiltonian_at)
 
 _FIGURE_GAMMAS = (0.1, 0.5, 1.0, 2.0, 3.0)
 _FIG5_GAMMAS = (0.1, 0.3, 0.6, 1.0, 2.0)
@@ -182,18 +182,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # ---------------------------------------------------------------------------
 
 def _meta(cfg: RunConfig, **extra) -> dict:
-    """Preamble keys; a dataset adds ``gamma`` only when every row uses it."""
+    """Preamble keys; ``gamma`` and ``t_ref`` only where every row uses them."""
     return {"version": __version__, "cutoff": cfg.cutoff,
-            "counterterm": cfg.counterterm, "t_ref": cfg.t_ref,
-            "cross_validation_tolerance": 1e-4, **extra}
+            "counterterm": cfg.counterterm, "cross_validation_tolerance": 1e-4, **extra}
 
 
 def _flagged(prefix: list, width: int, values) -> list:
-    """prefix + values() + [""], or width NaNs and the QbmError's class name."""
+    """prefix + values() + [""], or width NaNs and the QbmError's "Class: message"."""
     try:
         return prefix + values() + [""]
     except QbmError as exc:
-        return prefix + [float("nan")] * width + [type(exc).__name__]
+        return prefix + [float("nan")] * width + [f"{type(exc).__name__}: {exc}"]
 
 
 def _once(compute):
@@ -246,16 +245,29 @@ def _capacities_from_h_and_z(h, temp: float) -> list:
     return [c_h, c_z]
 
 
+def _coupling_rows(cfg: RunConfig, gammas, temps, width: int, prepare,
+                   values) -> list:
+    """Rows [T, gamma, *values(prepared, T), error] over gammas x temps.
+
+    ``prepare(SpectralConfig)`` runs once per coupling; its QbmError flags
+    every row of that coupling without a retry.
+    """
+    rows = []
+    for gamma in gammas:
+        prepared = _once(lambda: prepare(cfg.spectral(gamma)))
+        rows += [_flagged([temp, gamma], width, lambda: values(prepared(), temp))
+                 for temp in temps]
+    return rows
+
+
 def _thermo_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset:
     """Rows over cfg.gammas x cfg.temperatures from h extracted at t_ref."""
     columns, values, extra = spec
-    rows = []
-    for gamma in cfg.gammas:
-        get_h = _once(lambda: reduced_hamiltonian_at(cfg.spectral(gamma), cfg.t_ref))
-        rows += [_flagged([temp, gamma], len(columns), lambda: values(get_h(), temp))
-                 for temp in cfg.temperatures]
+    rows = _coupling_rows(cfg, cfg.gammas, cfg.temperatures, len(columns),
+                          lambda scfg: reduced_hamiltonian_at(scfg, cfg.t_ref),
+                          values)
     return FigureDataset(figure_id, ["T", "gamma"] + columns + ["error"], rows,
-                         _meta(cfg, **extra))
+                         _meta(cfg, t_ref=cfg.t_ref, **extra))
 
 
 def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
@@ -268,20 +280,21 @@ def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
         try:
             h, h_err = reduced_hamiltonian_at(scfg, cfg.t_ref), ""
         except QbmError as exc:
-            h, h_err = None, type(exc).__name__
+            h, h_err = None, f"{type(exc).__name__}: {exc}"
         try:
             c_naive = naive_curves(modes, [1.0 / t for t in temps],
                                    cfg.counterterm)[1]
         except QbmError as exc:
             rows += [[temp, gamma, float("nan"), float("nan"),
-                      type(exc).__name__] for temp in temps]
+                      f"{type(exc).__name__}: {exc}"] for temp in temps]
             continue
         for temp, c in zip(temps, c_naive):
             c_exact = (heat_capacity_exact(h.eigenfrequency, temp)
                        if h is not None else float("nan"))
             rows.append([temp, gamma, c, c_exact, h_err])
     return FigureDataset(figure_id, ["T", "gamma", "C_naive", "C_exact", "error"],
-                         rows, _meta(cfg, k_c=cfg.k_c, omega_max=cfg.omega_max))
+                         rows, _meta(cfg, k_c=cfg.k_c, omega_max=cfg.omega_max,
+                                     t_ref=cfg.t_ref))
 
 
 # figure id -> (builder, spec).  A scan's spec is (columns, values(moments, T)),
@@ -367,17 +380,29 @@ def _sweep_dataset(cfg: RunConfig, name: str, axis: str = "temperature",
     grid = getattr(cfg, key)
     if grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(key, "sweep grid must be positive and strictly increasing")
-    modes = None
-    if pipeline == "naive" and axis == "temperature":
-        modes = discretize(cfg.spectral(), cfg.k_c, cfg.omega_max)
-    elif pipeline == "naive":
-        modes = [discretize(cfg.spectral(g), cfg.k_c, cfg.omega_max) for g in grid]
-    points = sweep(axis, grid, cfg.spectral(), pipeline=pipeline,
-                   t_ref=cfg.t_ref, fixed_temperature=cfg.temperature,
-                   modes=modes)
-    rows = [[p.temperature, p.coupling, p.internal_energy, p.heat_capacity,
-             p.z_reduced, p.error or ""] for p in points]
+    gammas, temps = (((cfg.gamma,), grid) if axis == "temperature"
+                     else (grid, (cfg.temperature,)))
     fixed = {"gamma": cfg.gamma} if axis == "temperature" else {}
+    if pipeline == "naive":
+        def prepare(scfg):  # one discretization and decomposition per coupling
+            curves = naive_curves(discretize(scfg, cfg.k_c, cfg.omega_max),
+                                  [1.0 / t for t in temps], cfg.counterterm)
+            return dict(zip(temps, zip(*curves)))
+
+        def values(curves, temp):
+            return [*curves[temp], float("nan")]
+    else:
+        def prepare(scfg):
+            return scfg, reduced_hamiltonian_at(scfg, cfg.t_ref)
+
+        def values(prepared, temp):
+            scfg, h = prepared
+            point = exact_point(scfg, temp, h)
+            c = (point.heat_capacity if pipeline == "exact"
+                 else heat_capacity_incomplete(pipeline, h, temp))
+            return [point.internal_energy, c, point.z_reduced]
+        fixed["t_ref"] = cfg.t_ref
+    rows = _coupling_rows(cfg, gammas, temps, 3, prepare, values)
     return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],
                          rows, _meta(cfg, axis=axis, **fixed)).validate()
 
@@ -462,7 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("thermo", help="internal energy and heat capacity sweep")
     fig = sub.add_parser("figure", help="emit a figure dataset")
     fig.add_argument("figure_id", choices=FIGURE_IDS)
-    sub.add_parser("oracle-compare", help="continuum-versus-oracle error table")
+    sub.add_parser("oracle-compare", help="continuum-versus-oracle error table",
+                   description="Fixed grid: gammas 0 and 0.5, T 0.5 and 10, the "
+                   "k_c ladder 100/200/400 with its window scaled from "
+                   "--omega-max, and one Fock row capped at min(--n-max, 40).")
     swp = sub.add_parser("sweep", help="generic pipeline sweep")
     swp.add_argument("--axis", choices=("temperature", "coupling"),
                      default="temperature")

@@ -8,13 +8,12 @@ discretized model per normal mode.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .continuum import solve_moments
-from .errors import InvalidGrid, QbmError, UnstableReducedPotential
+from .errors import InvalidGrid, UnstableReducedPotential
 from .finite import normal_mode_frequencies
 from .gibbs import ReducedHamiltonian, extended_bose_einstein, reduced_hamiltonian
 from .spectral import OMEGA_S, ModeList, SpectralConfig
@@ -23,14 +22,13 @@ from .state import Moments
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """One point of a thermodynamic sweep (units: omega_S and k_B)."""
+    """Exact-pipeline observables at one point (units: omega_S and k_B)."""
 
     temperature: float
     coupling: float
     internal_energy: float
     heat_capacity: float
     z_reduced: float
-    error: str | None = None
 
 
 def internal_energy_hamiltonian(h: ReducedHamiltonian, m: Moments) -> float:
@@ -128,85 +126,3 @@ def exact_point(cfg: SpectralConfig, temperature: float,
     z = float(0.5 / np.sinh(min(x, 350.0))) if x < 350.0 else 0.0
     return ThermoPoint(temperature=temperature, coupling=cfg.gamma,
                        internal_energy=u, heat_capacity=c, z_reduced=z)
-
-
-_PIPELINES = ("exact", "drop-imaginary", "drop-pairing", "naive")
-
-
-def sweep(axis: str, grid, cfg: SpectralConfig, pipeline: str = "exact",
-          t_ref: float = 5.0, fixed_temperature: float = 1.0,
-          modes: ModeList | Sequence[ModeList] | None = None
-          ) -> list[ThermoPoint]:
-    """Evaluate a pipeline over a strictly increasing positive grid.
-
-    ``axis`` is "temperature" or "coupling"; ``pipeline`` one of "exact",
-    "drop-imaginary", "drop-pairing", "naive".  The naive pipeline needs the
-    discretized bath: one ModeList on the temperature axis, or one ModeList
-    per grid coupling (each discretized at that coupling) on the coupling
-    axis.  Per-point failures are recorded on the returned points instead of
-    aborting the sweep.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidGrid("sweep grid must be a nonempty 1-d array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise InvalidGrid("sweep grid must be positive and strictly increasing")
-    if axis not in ("temperature", "coupling"):
-        raise InvalidGrid(f"unknown sweep axis {axis!r}")
-    if pipeline not in _PIPELINES:
-        raise InvalidGrid(f"unknown pipeline {pipeline!r}")
-
-    # one (coupling, temperatures, naive bath) group per coupling
-    if axis == "temperature":
-        if pipeline == "naive" and not isinstance(modes, ModeList):
-            raise InvalidGrid("naive temperature sweep requires a ModeList")
-        groups = [(cfg.gamma, [float(t) for t in grid], modes)]
-    else:
-        if pipeline == "naive" and (modes is None or isinstance(modes, ModeList)
-                                    or len(modes) != len(grid)):
-            raise InvalidGrid("naive coupling sweep requires one ModeList per "
-                              "coupling, discretized at that coupling")
-        baths = modes if pipeline == "naive" else [None] * len(grid)
-        groups = [(float(g), [fixed_temperature], b) for g, b in zip(grid, baths)]
-
-    points: list[ThermoPoint] = []
-    for coupling, temps, bath in groups:
-        if pipeline == "naive":
-            points += _naive_points(bath, temps, coupling, cfg.counterterm)
-            continue
-        point_cfg = replace(cfg, gamma=coupling)
-        try:
-            h = reduced_hamiltonian_at(point_cfg, t_ref)
-        except QbmError as exc:  # flags every point of this coupling
-            points += [_failed_point(t, coupling, exc) for t in temps]
-            continue
-        for temperature in temps:
-            try:
-                point = exact_point(point_cfg, temperature, h=h)
-                if pipeline != "exact":
-                    point = replace(point, heat_capacity=heat_capacity_incomplete(
-                        pipeline, h, temperature))
-            except QbmError as exc:  # collected per point, not fatal
-                point = _failed_point(temperature, coupling, exc)
-            points.append(point)
-    return points
-
-
-def _naive_points(modes: ModeList, temps: list[float], coupling: float,
-                  counterterm: bool) -> list[ThermoPoint]:
-    try:
-        energies, capacities = naive_curves(modes, [1.0 / t for t in temps],
-                                            counterterm)
-    except QbmError as exc:  # one decomposition serves every point
-        return [_failed_point(t, coupling, exc) for t in temps]
-    return [ThermoPoint(temperature=t, coupling=coupling, internal_energy=u,
-                        heat_capacity=c, z_reduced=float("nan"))
-            for t, u, c in zip(temps, energies, capacities)]
-
-
-def _failed_point(temperature: float, coupling: float,
-                  exc: QbmError) -> ThermoPoint:
-    return ThermoPoint(temperature=temperature, coupling=coupling,
-                       internal_energy=float("nan"), heat_capacity=float("nan"),
-                       z_reduced=float("nan"),
-                       error=f"{type(exc).__name__}: {exc}")

@@ -1,5 +1,6 @@
 """Configuration parsing, figure datasets, serialization and the CLI."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -7,9 +8,37 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbm import ConfigError, cli
+from qbm import (ConfigError, QbmError, SpectralConfig, cli, discretize,
+                 exact_point, heat_capacity_incomplete, naive_curves,
+                 reduced_hamiltonian_at, solve_moments)
 from qbm.cli import (FIGURE_IDS, RunConfig, main, oracle_compare, parse_config,
                      render_csv, render_json, run_figure)
+
+PIPELINES = ("exact", "drop-imaginary", "drop-pairing", "naive")
+UNSTABLE = SpectralConfig(0.5, 20.0, counterterm=False)
+
+
+def _error_cell(compute) -> str:
+    """The "Class: message" error cell of the QbmError that compute() raises."""
+    with pytest.raises(QbmError) as err:
+        compute()
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+def _figure_error_cell(figure_id: str, row: list, cfg: RunConfig) -> str:
+    """The error cell a failed row of a figure dataset carries."""
+    if figure_id[0] in "12":  # a coupling scan at T = 10 or a T scan at gamma = 0.5
+        gamma, temp = (row[0], 10.0) if figure_id[0] == "1" else (0.5, row[0])
+        return _error_cell(lambda: solve_moments(cfg.spectral(gamma), 1 / temp))
+    if figure_id == "5":  # the naive curve fails before the extraction
+        modes = discretize(cfg.spectral(row[1]), cfg.k_c, cfg.omega_max)
+        return _error_cell(lambda: naive_curves(modes, [1 / row[0]], cfg.counterterm))
+    return _error_cell(lambda: reduced_hamiltonian_at(cfg.spectral(row[1]), cfg.t_ref))
+
+
+def _sweep(axis="temperature", pipeline="exact", **overrides):
+    cfg = parse_config(overrides={"timestamp": False, **overrides})
+    return cli._sweep_dataset(cfg, f"sweep-{pipeline}", axis, pipeline)
 
 
 class TestParseConfig:
@@ -63,6 +92,13 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="grid values") as err:
                 parse_config(overrides={key: "lin:-1:1:3"})
             assert err.value.key == key
+
+    @pytest.mark.parametrize("key", ["temperatures", "gammas"])
+    def test_empty_grid_names_key(self, key):
+        # the one emptiness check every figure, thermo and sweep grid passes
+        with pytest.raises(ConfigError, match="grid must be nonempty") as err:
+            parse_config(overrides={key: ()})
+        assert err.value.key == key
 
     @pytest.mark.parametrize("value", [0, 1.0, [True]])
     def test_non_boolean_is_config_error(self, value):
@@ -136,7 +172,7 @@ class TestFigures:
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_flagged_rows_keep_the_schema(self, figure_id):
         # without the counterterm the default cutoff inverts the potential
-        # beyond gamma = 0.05, so rows there carry the failure's class name
+        # beyond gamma = 0.05, so rows there carry the failure's full message
         cfg = parse_config(overrides={"counterterm": False, "gammas": "0.01,0.5",
                                       "temperatures": "geom:0.5:2:3", "k_c": 40})
         ds = run_figure(figure_id, cfg)
@@ -144,7 +180,9 @@ class TestFigures:
         flagged = [row for row in ds.rows if row[-1]]
         assert flagged
         for row in flagged:
-            assert row[-1] == "InvertedPotential" and math.isnan(row[-2])
+            assert row[-1].startswith("InvertedPotential: ")
+            assert row[-1] == _figure_error_cell(figure_id, row, cfg)
+            assert math.isnan(row[-2])
 
     def test_one_extraction_per_coupling(self, small_cfg, monkeypatch):
         calls = []
@@ -162,7 +200,8 @@ class TestFigures:
         calls.clear()  # a failed extraction flags its rows without a retry
         ds = run_figure("3a", replace(small_cfg, counterterm=False, gammas=(0.5,)))
         assert calls == [0.5]
-        assert {row[-1] for row in ds.rows} == {"InvertedPotential"}
+        assert {row[-1] for row in ds.rows} == {
+            _error_cell(lambda: reduced_hamiltonian_at(UNSTABLE, small_cfg.t_ref))}
 
 
 class TestSerialization:
@@ -184,16 +223,50 @@ class TestSerialization:
         assert len(payload["rows"]) == 60
 
     def test_gamma_echoed_only_where_every_row_uses_it(self, small_cfg):
+        # likewise t_ref, which only the extracted reduced Hamiltonian reads
         datasets = {f: run_figure(f, small_cfg) for f in FIGURE_IDS}
         datasets["oracle-compare"] = oracle_compare(
             small_cfg, gammas=(0.0,), temperatures=(1.0,), ladder=(10,))
         for axis in ("temperature", "coupling"):
-            datasets[axis] = cli._sweep_dataset(small_cfg, "sweep-exact", axis)
+            for pipeline in PIPELINES:
+                datasets[axis, pipeline] = cli._sweep_dataset(
+                    small_cfg, f"sweep-{pipeline}", axis, pipeline)
         echoed = {key for key, ds in datasets.items() if "gamma" in ds.metadata}
-        assert echoed == {"2a", "2b", "temperature"}
+        assert echoed == {"2a", "2b"} | {("temperature", p) for p in PIPELINES}
         assert datasets["2b"].metadata["gamma"] == 0.5
-        sweep = datasets["temperature"]
-        assert {row[1] for row in sweep.rows} == {sweep.metadata["gamma"]}
+        for pipeline in PIPELINES:
+            sweep = datasets["temperature", pipeline]
+            assert {row[1] for row in sweep.rows} == {sweep.metadata["gamma"]}
+        echoed = {key for key, ds in datasets.items() if "t_ref" in ds.metadata}
+        assert echoed == {"3a", "3b", "4a", "4b", "5"} | {
+            (axis, p) for axis in ("temperature", "coupling")
+            for p in PIPELINES if p != "naive"}
+        assert all(datasets[key].metadata["t_ref"] == small_cfg.t_ref
+                   for key in echoed)
+
+    def test_flagged_csv_reads_back(self):
+        # render_csv does not quote, so a comma in an error message would
+        # split its cell: every row keeps the header's width and every error
+        # cell reads "Class: message"
+        cfg = parse_config(overrides={
+            "counterterm": False, "gammas": "0.01,0.5", "temperatures": "geom:0.5:2:3",
+            "k_c": 40, "n_max": 8, "timestamp": False})
+        datasets = [run_figure(f, cfg) for f in FIGURE_IDS]
+        datasets.append(cli._sweep_dataset(cfg, "thermo"))
+        datasets += [cli._sweep_dataset(cfg, f"sweep-{p}", axis, p)
+                     for axis in ("temperature", "coupling") for p in PIPELINES]
+        datasets.append(oracle_compare(cfg, ladder=(10, 20)))
+        classes = {cls.__name__ for cls in QbmError.__subclasses__()}
+        for ds in datasets:
+            text = render_csv(ds, timestamp=False)
+            header, *rows = csv.reader(
+                line for line in text.splitlines() if not line.startswith("#"))
+            assert all(len(row) == len(header) for row in rows), ds.figure_id
+            errors = [row[-1] for row in rows if row[-1] not in ("", "fock")]
+            assert errors, ds.figure_id
+            for cell in errors:
+                name, sep, message = cell.partition(": ")
+                assert name in classes and sep and message, cell
 
 
 class TestOracleCompare:
@@ -219,7 +292,8 @@ class TestOracleCompare:
                                       "counterterm": False})
         ds = oracle_compare(cfg, gammas=(0.5,), temperatures=(1.0,),
                             ladder=(10, 20))
-        assert [row[-1] for row in ds.rows] == ["InvertedPotential"] * 2 + ["fock"]
+        cell = _error_cell(lambda: solve_moments(UNSTABLE, 1.0))
+        assert [row[-1] for row in ds.rows] == [cell] * 2 + ["fock"]
 
 
 class TestMain:
@@ -297,7 +371,8 @@ class TestMain:
         assert "# counterterm: False" in text
         rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 2
-        assert all(",InvertedPotential: " in row for row in rows)
+        cell = _error_cell(lambda: reduced_hamiltonian_at(UNSTABLE, 5.0))
+        assert all(row.endswith(f",nan,nan,nan,{cell}") for row in rows)
 
     def test_flagged_json_is_strict(self, tmp_path):
         # a flagged row's NaN values are written as null, never as NaN
@@ -311,8 +386,8 @@ class TestMain:
 
         payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["rows"]
-        assert all(row[1:] == [None, None, "InvertedPotential"]
-                   for row in payload["rows"])
+        cell = _error_cell(lambda: solve_moments(UNSTABLE, 1.0))
+        assert all(row[1:] == [None, None, cell] for row in payload["rows"])
 
     def test_timestamp_by_default(self, tmp_path):
         out = tmp_path / "thermo.csv"
@@ -330,7 +405,8 @@ class TestMain:
                      "--out", str(out), "oracle-compare"])
         assert code == 0
         text = out.read_text()
-        assert ",InvertedPotential" in text and text.endswith(",fock\n")
+        cell = _error_cell(lambda: solve_moments(UNSTABLE, 2.0))
+        assert text.count(f",{cell}\n") == 6 and text.endswith(",fock\n")
 
     def test_thermo_command(self, tmp_path):
         out = tmp_path / "thermo.csv"
@@ -372,3 +448,102 @@ class TestFigureContent:
     def test_figure_5_includes_low_temperature_zoom(self, small_cfg):
         ds = run_figure("5", small_cfg)
         assert min(r[0] for r in ds.rows) < 0.05
+
+
+class TestSweepDataset:
+    """`thermo` and `sweep`: the per-coupling rows of figures 3a-4b."""
+
+    def test_single_point_matches_exact_point(self):
+        (row,) = _sweep(temperatures="2", t_ref=1.0).rows
+        cfg = SpectralConfig(0.5, 20.0)
+        point = exact_point(cfg, 2.0, reduced_hamiltonian_at(cfg, 1.0))
+        assert row[:2] == [2.0, 0.5] and row[-1] == ""
+        for got, want in zip(row[2:5], (point.internal_energy,
+                                        point.heat_capacity, point.z_reduced)):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_exact_pipeline_invariants(self):
+        ds = _sweep(temperatures="geom:0.05:3:12", t_ref=1.0)
+        wbar = reduced_hamiltonian_at(SpectralConfig(0.5, 20.0), 1.0).eigenfrequency
+        assert len(ds.rows) == 12
+        for _temp, _gamma, u, c, _z, error in ds.rows:
+            assert error == "" and c > 0 and u >= wbar / 2 - 1e-12
+
+    def test_coupling_axis_columns(self):
+        ds = _sweep("coupling", gammas="0.1,0.5,1", temperature=2.0, t_ref=1.0)
+        assert [row[1] for row in ds.rows] == [0.1, 0.5, 1.0]
+        assert all(row[0] == 2.0 and row[-1] == "" for row in ds.rows)
+
+    @pytest.mark.parametrize("axis", ["temperature", "coupling"])
+    def test_naive_rows_equal_naive_curves(self, monkeypatch, axis):
+        discretized = []
+
+        def counting(scfg, k_c, omega_max):
+            discretized.append(scfg.gamma)
+            return discretize(scfg, k_c, omega_max)
+
+        monkeypatch.setattr(cli, "discretize", counting)
+        ds = _sweep(axis, "naive", temperatures="0.1,0.5,2", gammas="0.1,1",
+                    temperature=0.5, k_c=60, omega_max=100.0)
+        # one discretization per coupling, at that coupling
+        assert discretized == ([0.5] if axis == "temperature" else [0.1, 1.0])
+        for temp, gamma, u, c, z, error in ds.rows:
+            modes = discretize(SpectralConfig(gamma, 20.0), 60, 100.0)
+            (u_ref,), (c_ref,) = naive_curves(modes, [1 / temp], counterterm=True)
+            assert (u, c, error) == (u_ref, c_ref, "") and math.isnan(z)
+        assert len({row[3] for row in ds.rows}) == len(ds.rows)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_failures_flagged_with_the_full_message(self, pipeline):
+        ds = _sweep(pipeline=pipeline, temperatures="1,2", counterterm=False,
+                    k_c=40, omega_max=200.0)
+        if pipeline == "naive":
+            cell = _error_cell(lambda: naive_curves(
+                discretize(UNSTABLE, 40, 200.0), [1.0], False))
+        else:
+            cell = _error_cell(lambda: reduced_hamiltonian_at(UNSTABLE, 5.0))
+        assert cell.startswith("InvertedPotential: ")
+        assert [row[-1] for row in ds.rows] == [cell] * 2
+        assert all(math.isnan(v) for row in ds.rows for v in row[2:5])
+
+    @pytest.mark.parametrize("axis", ["temperature", "coupling"])
+    @pytest.mark.parametrize("name,pipeline", [
+        ("exact_point", "exact"), ("reduced_hamiltonian_at", "drop-pairing"),
+        ("naive_curves", "naive")])
+    def test_programming_errors_propagate(self, monkeypatch, axis, name, pipeline):
+        # only QbmError becomes a row flag; anything else is a bug and raises
+        def broken(*args, **kwargs):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(cli, name, broken)
+        with pytest.raises(TypeError, match="broken"):
+            _sweep(axis, pipeline, temperatures="1,2", gammas="0.1,1",
+                   k_c=20, omega_max=100.0)
+
+    @pytest.mark.parametrize("counterterm", [True, False])
+    def test_one_extraction_per_coupling(self, monkeypatch, counterterm):
+        # a failed extraction is not retried row by row either
+        calls = []
+
+        def counting(scfg, t_ref):
+            calls.append(scfg.gamma)
+            return reduced_hamiltonian_at(scfg, t_ref)
+
+        monkeypatch.setattr(cli, "reduced_hamiltonian_at", counting)
+        ds = _sweep(pipeline="drop-pairing", temperatures="geom:0.1:3:8",
+                    counterterm=counterterm)
+        assert calls == [0.5] and len(ds.rows) == 8
+        assert all((row[-1] == "") == counterterm for row in ds.rows)
+        calls.clear()
+        _sweep("coupling", "drop-imaginary", gammas="0.1,0.5,1",
+               counterterm=counterterm)
+        assert calls == [0.1, 0.5, 1.0]
+
+    @pytest.mark.parametrize("pipeline", ["drop-imaginary", "drop-pairing"])
+    def test_incomplete_pipelines_change_only_the_capacity(self, pipeline):
+        exact = _sweep(temperatures="0.2,1,3").rows
+        dropped = _sweep(pipeline=pipeline, temperatures="0.2,1,3").rows
+        h = reduced_hamiltonian_at(SpectralConfig(0.5, 20.0), 5.0)
+        for e, d in zip(exact, dropped):
+            assert d[3] == heat_capacity_incomplete(pipeline, h, d[0])
+            assert d[:3] + d[4:] == e[:3] + e[4:] and d[-1] == ""

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from qbm import (InvalidGrid, SpectralConfig, discretize, exact_point,
-                 extended_bose_einstein, heat_capacity_exact,
-                 heat_capacity_incomplete, internal_energy_hamiltonian,
-                 internal_energy_partition, naive_curves,
-                 reduced_hamiltonian_at, sweep)
-from qbm import thermo
+from qbm import (SpectralConfig, discretize, extended_bose_einstein,
+                 heat_capacity_exact, heat_capacity_incomplete,
+                 internal_energy_hamiltonian, internal_energy_partition,
+                 naive_curves, reduced_hamiltonian_at)
 from qbm.gibbs import ReducedHamiltonian
 from qbm.spectral import ModeList
 
@@ -141,133 +139,3 @@ class TestNaivePipeline:
             diffs.append(abs(c_naive - c_exact))
         assert max(diffs) < 0.05
 
-
-class TestSweep:
-    def test_single_point_matches_direct_call(self):
-        points = sweep("temperature", [2.0], CFG, pipeline="exact", t_ref=1.0)
-        h = reduced_hamiltonian_at(CFG, 1.0)
-        direct = exact_point(CFG, 2.0, h=h)
-        assert len(points) == 1
-        assert points[0].internal_energy == pytest.approx(
-            direct.internal_energy, rel=1e-12)
-        assert points[0].heat_capacity == pytest.approx(
-            direct.heat_capacity, rel=1e-12)
-
-    def test_exact_pipeline_invariants(self):
-        points = sweep("temperature", np.geomspace(0.05, 3, 12), CFG,
-                       pipeline="exact", t_ref=1.0)
-        h = reduced_hamiltonian_at(CFG, 1.0)
-        for p in points:
-            assert p.error is None
-            assert p.heat_capacity > 0
-            assert p.internal_energy >= h.eigenfrequency / 2 - 1e-12
-
-    def test_coupling_axis(self):
-        points = sweep("coupling", [0.1, 0.5, 1.0], CFG, pipeline="exact",
-                       fixed_temperature=2.0, t_ref=1.0)
-        assert [p.coupling for p in points] == [0.1, 0.5, 1.0]
-        assert all(p.temperature == 2.0 for p in points)
-
-    def test_errors_collected_not_fatal(self):
-        cfg = SpectralConfig(0.5, 20.0, counterterm=False)  # unstable model
-        points = sweep("temperature", [1.0, 2.0], cfg, pipeline="exact")
-        assert all(p.error is not None for p in points)
-        assert all(np.isnan(p.heat_capacity) for p in points)
-
-    def test_programming_errors_propagate(self, monkeypatch):
-        # only QbmError becomes a row flag; anything else is a bug and raises
-        def broken(*args, **kwargs):
-            raise TypeError("broken")
-
-        monkeypatch.setattr(thermo, "exact_point", broken)
-        with pytest.raises(TypeError):
-            sweep("temperature", [1.0, 2.0], CFG, pipeline="exact")
-        monkeypatch.setattr(thermo, "reduced_hamiltonian_at", broken)
-        with pytest.raises(TypeError):
-            sweep("temperature", [1.0, 2.0], CFG, pipeline="exact")
-        monkeypatch.setattr(thermo, "normal_mode_frequencies", broken)
-        with pytest.raises(TypeError):
-            sweep("temperature", [1.0, 2.0], CFG, pipeline="naive",
-                  modes=discretize(CFG, 20, 100.0))
-
-    def test_naive_sweep_matches_pointwise(self):
-        modes = discretize(CFG, 60, 100.0)
-        temps = [0.1, 0.5, 2.0]
-        points = sweep("temperature", temps, CFG, pipeline="naive",
-                       modes=modes)
-        for t, p in zip(temps, points):
-            (u,), (c,) = naive_curves(modes, [1 / t], counterterm=True)
-            assert p.error is None
-            assert p.internal_energy == u
-            assert p.heat_capacity == c
-
-    def test_naive_sweep_errors_collected(self):
-        cfg = SpectralConfig(0.5, 20.0, counterterm=False)
-        points = sweep("temperature", [1.0, 2.0], cfg, pipeline="naive",
-                       modes=discretize(cfg, 40, 200.0))
-        assert all(p.error.startswith("InvertedPotential") for p in points)
-        with pytest.raises(InvalidGrid):
-            sweep("temperature", [1.0], CFG, pipeline="naive")  # no ModeList
-
-    def test_naive_coupling_sweep_discretizes_per_gamma(self):
-        gammas = [0.1, 1.0]
-        modes = [discretize(SpectralConfig(g, CFG.cutoff), 60, 100.0)
-                 for g in gammas]
-        points = sweep("coupling", gammas, CFG, pipeline="naive",
-                       fixed_temperature=0.5, modes=modes)
-        assert points[0].heat_capacity != points[1].heat_capacity
-        for p, g, ml in zip(points, gammas, modes):
-            assert p.error is None and p.coupling == g
-            energies, capacities = thermo.naive_curves(ml, [2.0], True)
-            assert p.internal_energy == energies[0]
-            assert p.heat_capacity == capacities[0]
-
-    def test_naive_coupling_sweep_needs_one_modelist_per_gamma(self):
-        modes = discretize(CFG, 20, 100.0)
-        for bad in (modes, [modes], None):
-            with pytest.raises(InvalidGrid):
-                sweep("coupling", [0.1, 1.0], CFG, pipeline="naive",
-                      modes=bad)
-
-    def test_grid_validation(self):
-        with pytest.raises(InvalidGrid):
-            sweep("temperature", [2.0, 1.0], CFG)
-        with pytest.raises(InvalidGrid):
-            sweep("temperature", [], CFG)
-        with pytest.raises(InvalidGrid):
-            sweep("pressure", [1.0], CFG)
-        with pytest.raises(InvalidGrid, match="pipeline"):
-            sweep("temperature", [1.0], CFG, pipeline="bogus")
-        with pytest.raises(InvalidGrid, match="pipeline"):
-            sweep("coupling", [0.5], CFG, pipeline="bogus")
-
-    @pytest.mark.parametrize("counterterm", [True, False])
-    def test_one_extraction_per_coupling(self, monkeypatch, counterterm):
-        # a failed extraction is not retried point by point either
-        calls = []
-        original = thermo.reduced_hamiltonian_at
-
-        def counting(cfg, t_ref):
-            calls.append(cfg.gamma)
-            return original(cfg, t_ref)
-
-        monkeypatch.setattr(thermo, "reduced_hamiltonian_at", counting)
-        cfg = SpectralConfig(0.5, 20.0, counterterm=counterterm)
-        points = sweep("temperature", np.geomspace(0.1, 3, 8), cfg,
-                       pipeline="drop-pairing")
-        assert calls == [0.5] and len(points) == 8
-        assert all((p.error is None) == counterterm for p in points)
-        calls.clear()
-        sweep("coupling", [0.1, 0.5, 1.0], cfg, pipeline="drop-imaginary")
-        assert calls == [0.1, 0.5, 1.0]
-
-    @pytest.mark.parametrize("pipeline", ["drop-imaginary", "drop-pairing"])
-    def test_incomplete_pipelines_change_only_the_capacity(self, pipeline):
-        temps = [0.2, 1.0, 3.0]
-        exact = sweep("temperature", temps, CFG, pipeline="exact")
-        dropped = sweep("temperature", temps, CFG, pipeline=pipeline)
-        h = reduced_hamiltonian_at(CFG, 5.0)
-        for t, e, d in zip(temps, exact, dropped):
-            assert d.heat_capacity == heat_capacity_incomplete(pipeline, h, t)
-            assert (d.internal_energy, d.z_reduced, d.error) == (
-                e.internal_energy, e.z_reduced, None)
