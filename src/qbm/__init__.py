@@ -15,12 +15,10 @@ from .errors import (BranchAmbiguity, ConfigError, InvalidGrid,
                      ZeroTemperature)
 from .spectral import (OMEGA_S, ModeList, SpectralConfig, discretize,
                        eval_spectral_density)
-from .state import (GaussianKernel, Moments, kernel_to_moments,
-                    moments_to_kernel)
-from .continuum import matsubara_moments, solve_kernel, solve_moments
+from .state import GaussianKernel, Moments, moments_to_kernel
+from .continuum import matsubara_moments, solve_moments
 from .finite import (FockResult, TotalGaussian, fock_oracle,
-                     gaussian_partial_trace, log_partition_env,
-                     log_partition_total, moments_from_modes,
+                     gaussian_partial_trace, moments_from_modes,
                      normal_mode_frequencies, oracle_moments,
                      reduced_partition, total_gaussian)
 from .gibbs import (BogoliubovFrame, PositionForm, ReducedHamiltonian,

@@ -20,8 +20,10 @@ from . import __version__
 from .continuum import solve_moments
 from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
-from .gibbs import extended_bose_einstein, reduced_hamiltonian
+from .gibbs import (extended_bose_einstein, position_form,
+                    quasiparticle_occupation, reduced_hamiltonian)
 from .spectral import ModeList, SpectralConfig, discretize
+from .state import moments_to_kernel
 from .thermo import (exact_point, heat_capacity_exact, heat_capacity_incomplete,
                      internal_energy_hamiltonian, internal_energy_partition,
                      naive_curves, reduced_hamiltonian_at)
@@ -184,7 +186,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 def _meta(cfg: RunConfig, **extra) -> dict:
     """Preamble keys; ``gamma`` and ``t_ref`` only where every row uses them."""
     return {"version": __version__, "cutoff": cfg.cutoff,
-            "counterterm": cfg.counterterm, "cross_validation_tolerance": 1e-4, **extra}
+            "counterterm": cfg.counterterm, **extra}
 
 
 def _flagged(prefix: list, width: int, values) -> list:
@@ -500,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_state(cfg: RunConfig) -> int:
-    from .state import moments_to_kernel
     m = solve_moments(cfg.spectral(), 1.0 / cfg.temperature)
     kernel = moments_to_kernel(m)
     h = reduced_hamiltonian(m, cfg.temperature)
+    form = position_form(h)
     payload = {
         "gamma": cfg.gamma, "temperature": cfg.temperature,
         "occupation": m.occupation,
@@ -512,6 +514,9 @@ def _cmd_state(cfg: RunConfig) -> int:
         "omega_r": h.omega, "delta_abs": abs(h.pairing),
         "omega_bar": h.eigenfrequency,
         "z_reduced": reduced_partition(m),
+        "quasiparticle_occupation": quasiparticle_occupation(m),
+        "mass_eff": form.mass_eff, "harmonic": form.harmonic,
+        "cross": form.cross,
     }
     text = json.dumps(payload, indent=1) + "\n"
     if cfg.out:

@@ -15,7 +15,7 @@ from scipy.special import polygamma, psi
 
 from .errors import InvalidGrid, InvertedPotential
 from .spectral import SpectralConfig
-from .state import GaussianKernel, Moments, moments_to_kernel
+from .state import Moments
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +136,6 @@ def matsubara_moments(cfg: SpectralConfig, beta: float) -> Moments:
     p2 = 1.0 / beta - sum_q / math.pi
     return Moments(occupation=float(0.5 * (x2 + p2) - 0.5),
                    squeezing=complex(0.5 * (x2 - p2)))
-
-
-# ---------------------------------------------------------------------------
-# public solver
-# ---------------------------------------------------------------------------
-
-def solve_kernel(cfg: SpectralConfig, beta: float) -> GaussianKernel:
-    """Reduced kernel (Omega_S, Pi_S) at tau = beta for the continuum bath."""
-    return moments_to_kernel(matsubara_moments(cfg, beta)).validate()
 
 
 def solve_moments(cfg: SpectralConfig, beta: float) -> Moments:

@@ -316,26 +316,6 @@ def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.nd
     return _normal_modes(modes, counterterm)[0]
 
 
-def log_partition_total(modes: ModeList, beta: float,
-                        counterterm: bool = False) -> float:
-    """ln Z of the total model: -sum_j ln[2 sinh(beta Omega_j / 2)]."""
-    _check_beta(beta)
-    w = normal_mode_frequencies(modes, counterterm)
-    return float(-np.sum(_log_2sinh_half(beta * w)))
-
-
-def log_partition_env(modes: ModeList, beta: float) -> float:
-    """ln Z of the decoupled bath: -sum_k ln[2 sinh(beta w_k / 2)]."""
-    _check_beta(beta)
-    return float(-np.sum(_log_2sinh_half(beta * modes.frequencies)))
-
-
-def _log_2sinh_half(x: np.ndarray) -> np.ndarray:
-    # ln(2 sinh(x/2)) = x/2 + ln(1 - exp(-x)), stable for large x
-    x = np.asarray(x, dtype=float)
-    return x / 2 + np.log1p(-np.exp(-np.minimum(x, 700.0)))
-
-
 def reduced_partition(moments: Moments) -> float:
     """Reduced partition function sqrt(n^2 + n - |s|^2) of the squeezed state."""
     val = (moments.occupation**2 + moments.occupation
@@ -371,7 +351,7 @@ class FockResult:
     """Brute-force oracle output: moments and partition data."""
 
     moments: Moments
-    ln_z_total: float      # position convention, matches log_partition_total
+    ln_z_total: float      # -sum_j ln[2 sinh(beta Omega_j / 2)], system + bath
     ln_z_reduced: float    # from the reduced density-matrix spectrum
     truncation: float | None = None
 

@@ -137,8 +137,14 @@ def extended_bose_einstein(h: ReducedHamiltonian, temperature: float) -> Moments
 
 
 def quasiparticle_occupation(moments: Moments) -> float:
-    """Occupation of the Bogoliubov quasi-particle, sqrt((n+1/2)^2-|s|^2) - 1/2."""
-    return _branch_root(moments) - 0.5
+    """Occupation x - 1/2 of the Bogoliubov quasi-particle.
+
+    x = sqrt((n + 1/2)^2 - |s|^2).  The occupation is taken as
+    (n^2 + n - |s|^2)/(x + 1/2), which keeps its relative accuracy as
+    x -> 1/2 (cold or weakly coupled), where x - 1/2 cancels.
+    """
+    n, s = moments.occupation, moments.squeezing
+    return (n**2 + n - abs(s)**2) / (_branch_root(moments) + 0.5)
 
 
 def position_form(h: ReducedHamiltonian) -> PositionForm:
@@ -147,10 +153,8 @@ def position_form(h: ReducedHamiltonian) -> PositionForm:
     M' = M omega_S/(omega_r - Re Delta) in the moments' unit M omega_S = 1;
     the harmonic coefficient is omega_r^2 - (Re Delta)^2 and the cross one
     Im Delta, so the form's eigenfrequency equals the Bogoliubov one.
+    ``ReducedHamiltonian`` holds omega_r > |Delta| >= Re Delta, so M' > 0.
     """
-    if h.omega <= h.pairing.real:
-        raise UnstableReducedPotential(
-            f"omega_r = {h.omega:.6g} <= Re Delta = {h.pairing.real:.6g}")
     mass_eff = OMEGA_S / (h.omega - h.pairing.real)
     return PositionForm(mass_eff=float(mass_eff),
                         harmonic=float(h.omega**2 - h.pairing.real**2),

@@ -62,6 +62,8 @@ class ModeList:
             raise InvalidGrid("frequencies and couplings must be 1-d and equal length")
         if len(freqs) == 0:
             raise InvalidGrid("mode list must not be empty")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(coups))):
+            raise InvalidGrid("mode frequencies and couplings must be finite")
         if np.any(freqs <= 0):
             raise InvalidGrid("mode frequencies must be positive")
         if np.any(np.diff(freqs) <= 0):
@@ -102,8 +104,8 @@ def discretize(cfg: SpectralConfig, k_c: int, omega_max: float) -> ModeList:
     """
     if k_c < 1:
         raise InvalidGrid(f"k_c must be >= 1, got {k_c}")
-    if omega_max <= 0:
-        raise InvalidGrid(f"omega_max must be > 0, got {omega_max}")
+    if not (math.isfinite(omega_max) and omega_max > 0):
+        raise InvalidGrid(f"omega_max must be finite and > 0, got {omega_max}")
     xs, ws = _gauss_legendre(k_c)
     nodes = 0.5 * omega_max * (xs + 1.0)
     weights = 0.5 * omega_max * ws

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonNormalizable
 
 _IM_TOL = 1e-8
@@ -46,18 +44,6 @@ class Moments:
             raise NonNormalizable(
                 f"|s|^2 = {s2:.6e} exceeds n(n+1) = {bound:.6e}")
         return self
-
-
-def kernel_to_moments(kernel: GaussianKernel) -> Moments:
-    """Map (Omega_S, Pi_S) to (n, s); the denominator must stay positive."""
-    om, pi = kernel.omega_s, kernel.pi_s
-    d = (1 - om) * (1 - np.conj(om)) - abs(pi)**2
-    d = d.real
-    if d <= 0:
-        raise NonNormalizable(f"kernel denominator {d:.3e} <= 0")
-    n = ((om * (1 - np.conj(om))).real + abs(pi)**2) / d
-    s = pi / d
-    return Moments(occupation=float(n), squeezing=complex(s))
 
 
 def moments_to_kernel(moments: Moments) -> GaussianKernel:

@@ -316,6 +316,23 @@ class TestMain:
         assert payload["occupation"] == pytest.approx(9.5424, abs=1e-3)
         assert payload["omega_bar"] == pytest.approx(0.9966, abs=1e-3)
 
+    @pytest.mark.parametrize("gamma,temperature", [
+        (0.0, 0.05), (1e-6, 0.05), (0.5, 10.0), (2.0, 0.1), (3.0, 1.0)])
+    def test_state_paper_quantities(self, capsys, gamma, temperature):
+        assert main(["--gamma", str(gamma), "--temperature", str(temperature),
+                     "state"]) == 0
+        p = json.loads(capsys.readouterr().out)
+        # the squeezed thermal state: Bose-Einstein quasi-particles at omega_bar
+        assert p["quasiparticle_occupation"] == pytest.approx(
+            1 / math.expm1(p["omega_bar"] / temperature), rel=1e-12)
+        assert p["harmonic"] - p["cross"]**2 == pytest.approx(
+            p["omega_bar"]**2, rel=1e-12)
+        # the continuum squeezing is real, so Re Delta_r = -s omega_r / (n + 1/2)
+        assert p["squeezing_im"] == 0
+        re_delta = -p["squeezing_re"] * p["omega_r"] / (p["occupation"] + 0.5)
+        assert p["mass_eff"] == pytest.approx(1 / (p["omega_r"] - re_delta),
+                                              rel=1e-12)
+
     def test_figure_writes_file(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"
         code = main(["--temperatures", "geom:0.5:2:3", "--gammas", "0.5",

@@ -6,11 +6,11 @@ import pytest
 from scipy.special import polygamma
 
 from qbm import (GaussianKernel, InvertedPotential, Moments, NonNormalizable,
-                 SpectralConfig, discretize, kernel_to_moments,
-                 matsubara_moments, moments_to_kernel, oracle_moments,
-                 solve_kernel, solve_moments)
+                 SpectralConfig, discretize, matsubara_moments,
+                 moments_to_kernel, oracle_moments, solve_moments)
 
 from laplace_reference import self_energy
+from references import kernel_to_moments
 
 CFG = SpectralConfig(gamma=0.5, cutoff=20.0)
 FREE = SpectralConfig(gamma=0.0, cutoff=20.0)
@@ -231,8 +231,12 @@ class TestMatsubaraOracle:
                 self._assert_close(8 / cutoff + dg, cutoff, temperature)
 
 
-class TestSolveKernel:
-    @pytest.mark.parametrize("solver", [solve_kernel, _discretize_extrapolate],
+def _matsubara_kernel(cfg, beta):
+    return moments_to_kernel(matsubara_moments(cfg, beta))
+
+
+class TestContinuumKernel:
+    @pytest.mark.parametrize("solver", [_matsubara_kernel, _discretize_extrapolate],
                              ids=["matsubara", "discretize-extrapolate"])
     def test_decoupled_exactness_all_methods(self, solver):
         # the production route and the finite-oracle ladder
@@ -241,13 +245,8 @@ class TestSolveKernel:
             assert abs(k.omega_s - np.exp(-beta)) < 1e-8
             assert abs(k.pi_s) < 1e-10
 
-    def test_default_method_is_exact_route(self):
-        a = solve_kernel(CFG, 0.5)
-        b = moments_to_kernel(matsubara_moments(CFG, 0.5))
-        assert a.omega_s == b.omega_s and a.pi_s == b.pi_s
-
     def test_solver_output_validates(self):
-        k = solve_kernel(CFG, 0.1)
+        k = _matsubara_kernel(CFG, 0.1).validate()
         assert abs(k.omega_s.imag) < 1e-8
         m = kernel_to_moments(k)
         assert m.occupation > 9.5083  # above the decoupled occupation at T=10

@@ -13,8 +13,7 @@ import qbm.finite
 from qbm import (InvalidGrid, InvertedPotential, ModeList, NonNormalizable,
                  NonTraceable, SpectralConfig, TruncationError,
                  ZeroTemperature, discretize, fock_oracle,
-                 gaussian_partial_trace, log_partition_env,
-                 log_partition_total, moments_from_modes, moments_to_kernel,
+                 gaussian_partial_trace, moments_from_modes, moments_to_kernel,
                  normal_mode_frequencies, oracle_moments, reduced_partition,
                  total_gaussian)
 from qbm.finite import (TotalGaussian, _block_hamiltonian, _fock_once,
@@ -22,6 +21,7 @@ from qbm.finite import (TotalGaussian, _block_hamiltonian, _fock_once,
 from qbm.spectral import OMEGA_S
 from qbm.state import Moments
 from kernel_blocks import kernel_blocks, symmetric
+from references import log_partition_env, log_partition_total
 from secular_reference import moments as secular_moments
 from secular_reference import normal_modes as secular_reference_modes
 from secular_reference import total_blocks as secular_total_blocks

@@ -170,8 +170,9 @@ class TestDiscretize:
     def test_invalid_grid(self):
         with pytest.raises(InvalidGrid):
             discretize(CFG, 0, 200.0)
-        with pytest.raises(InvalidGrid):
-            discretize(CFG, 10, -1.0)
+        for omega_max in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidGrid, match="omega_max must be finite"):
+                discretize(CFG, 10, omega_max)
 
     def test_mode_list_invariants(self):
         with pytest.raises(InvalidGrid):
@@ -179,6 +180,13 @@ class TestDiscretize:
                      couplings=np.array([0.1, 0.1]))
         with pytest.raises(InvalidGrid):
             ModeList(frequencies=np.array([1.0]), couplings=np.array([0.1, 0.2]))
+        for field in ("frequencies", "couplings"):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = {"frequencies": np.array([1.0, 2.0]),
+                          "couplings": np.array([-0.1, -0.2])}
+                values[field][1] = bad
+                with pytest.raises(InvalidGrid, match="must be finite"):
+                    ModeList(**values)
 
 
 class TestGaussLegendreCache:
