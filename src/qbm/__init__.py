@@ -21,9 +21,9 @@ from .finite import (FockResult, TotalGaussian, fock_oracle,
                      gaussian_partial_trace, moments_from_modes,
                      normal_mode_frequencies, oracle_moments,
                      reduced_partition, total_gaussian)
-from .gibbs import (BogoliubovFrame, PositionForm, ReducedHamiltonian,
-                    bogoliubov, extended_bose_einstein, position_form,
-                    quasiparticle_occupation, reduced_hamiltonian)
+from .gibbs import (BogoliubovFrame, ReducedHamiltonian, bogoliubov,
+                    extended_bose_einstein, quasiparticle_occupation,
+                    reduced_hamiltonian)
 from .thermo import (ThermoPoint, exact_point, heat_capacity_exact,
                      heat_capacity_incomplete, internal_energy_hamiltonian,
                      internal_energy_partition, naive_curves,

@@ -1,8 +1,8 @@
 """Command-line front end: figure datasets, oracle comparisons, sweeps.
 
-Output is CSV with a '#'-prefixed metadata preamble (plus an optional JSON
-sidecar); identical configurations produce byte-identical files unless the
-timestamp field is enabled.
+Output is CSV with a '#'-prefixed metadata preamble, or strict JSON in its
+place with ``--format json``; identical configurations produce
+byte-identical files unless the timestamp field is enabled.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import __version__
 from .continuum import solve_moments
 from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
-from .gibbs import (extended_bose_einstein, position_form,
-                    quasiparticle_occupation, reduced_hamiltonian)
+from .gibbs import (extended_bose_einstein, quasiparticle_occupation,
+                    reduced_hamiltonian)
 from .spectral import ModeList, SpectralConfig, discretize
 from .state import moments_to_kernel
 from .thermo import (exact_point, heat_capacity_exact, heat_capacity_incomplete,
@@ -505,18 +505,15 @@ def _cmd_state(cfg: RunConfig) -> int:
     m = solve_moments(cfg.spectral(), 1.0 / cfg.temperature)
     kernel = moments_to_kernel(m)
     h = reduced_hamiltonian(m, cfg.temperature)
-    form = position_form(h)
     payload = {
         "gamma": cfg.gamma, "temperature": cfg.temperature,
-        "occupation": m.occupation,
-        "squeezing_re": m.squeezing.real, "squeezing_im": m.squeezing.imag,
-        "omega_s_kernel": kernel.omega_s.real, "pi_s_kernel": kernel.pi_s.real,
+        "occupation": m.occupation, "squeezing_re": m.squeezing,
+        "omega_s_kernel": kernel.omega_s, "pi_s_kernel": kernel.pi_s,
         "omega_r": h.omega, "delta_abs": abs(h.pairing),
         "omega_bar": h.eigenfrequency,
         "z_reduced": reduced_partition(m),
         "quasiparticle_occupation": quasiparticle_occupation(m),
-        "mass_eff": form.mass_eff, "harmonic": form.harmonic,
-        "cross": form.cross,
+        "mass_eff": h.mass_eff,
     }
     text = json.dumps(payload, indent=1) + "\n"
     if cfg.out:

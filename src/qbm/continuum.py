@@ -135,7 +135,7 @@ def matsubara_moments(cfg: SpectralConfig, beta: float) -> Moments:
     x2 = wc / a0 / beta - sum_n / math.pi
     p2 = 1.0 / beta - sum_q / math.pi
     return Moments(occupation=float(0.5 * (x2 + p2) - 0.5),
-                   squeezing=complex(0.5 * (x2 - p2)))
+                   squeezing=0.5 * (x2 - p2))
 
 
 def solve_moments(cfg: SpectralConfig, beta: float) -> Moments:

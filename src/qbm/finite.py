@@ -108,7 +108,7 @@ def gaussian_partial_trace(tg: TotalGaussian) -> tuple[Moments, float]:
                               f"{c_minus:.3e} are not both positive")
     q_plus, q_minus = 1 / c_plus, 1 / c_minus    # 1 + n +- s
     moments = Moments(occupation=0.5 * (q_plus + q_minus) - 1,
-                      squeezing=complex(0.5 * (q_plus - q_minus)))
+                      squeezing=0.5 * (q_plus - q_minus))
     return moments, float(np.exp(0.5 * (logdet_plus + logdet_minus)))
 
 
@@ -317,9 +317,8 @@ def normal_mode_frequencies(modes: ModeList, counterterm: bool = False) -> np.nd
 
 
 def reduced_partition(moments: Moments) -> float:
-    """Reduced partition function sqrt(n^2 + n - |s|^2) of the squeezed state."""
-    val = (moments.occupation**2 + moments.occupation
-           - abs(moments.squeezing)**2)
+    """Reduced partition function sqrt(n^2 + n - s^2) of the squeezed state."""
+    val = moments.occupation**2 + moments.occupation - moments.squeezing**2
     if val <= 1e-300:
         raise ZeroTemperature(
             f"n^2 + n - |s|^2 = {val:.3e} <= 0: zero-temperature edge")
@@ -343,7 +342,7 @@ def moments_from_modes(modes: ModeList, beta: float,
     p2 = float(np.sum(weight * wj / 2))
     n = 0.5 * (OMEGA_S * x2 + p2 / OMEGA_S) - 0.5
     s = 0.5 * (OMEGA_S * x2 - p2 / OMEGA_S)
-    return Moments(occupation=n, squeezing=complex(s))
+    return Moments(occupation=n, squeezing=s)
 
 
 @dataclass(frozen=True)
@@ -503,7 +502,7 @@ def _fock_once(modes: ModeList, beta: float, caps, counterterm: bool) -> FockRes
     p = np.sort(np.linalg.eigvalsh(rho_s))[::-1]
     ratio = p[1] / p[0]
     ln_z_reduced = float(np.log(np.sqrt(ratio) / (1 - ratio)))
-    return FockResult(moments=Moments(occupation=n, squeezing=complex(s)),
+    return FockResult(moments=Moments(occupation=n, squeezing=s),
                       ln_z_total=ln_z_total, ln_z_reduced=ln_z_reduced)
 
 

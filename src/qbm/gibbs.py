@@ -2,9 +2,9 @@
 
 Converts second moments into the renormalized Hamiltonian (frequency
 shift plus induced pairing) of the reduced Gibbs state, its Bogoliubov
-diagonalization, the extended Bose-Einstein distribution, and the
-position-momentum representation with the canonical transformation to
-quasi-particle coordinates.
+diagonalization and the extended Bose-Einstein distribution.  The pairing
+is real, so the Hamiltonian is already diagonal in position and momentum;
+its position form is the effective mass and the eigenfrequency.
 """
 
 from __future__ import annotations
@@ -20,10 +20,13 @@ from .state import Moments
 
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """Renormalized frequency and pairing strength of the reduced mode."""
+    """Renormalized frequency omega_r and real pairing Delta_r of the reduced mode.
+
+    H^R = omega_r (a^dag a + 1/2) + Delta_r (a^dag^2 + a^2)/2.
+    """
 
     omega: float
-    pairing: complex
+    pairing: float
 
     def __post_init__(self):
         if self.omega <= abs(self.pairing):
@@ -33,45 +36,32 @@ class ReducedHamiltonian:
 
     @property
     def eigenfrequency(self) -> float:
-        return float(np.sqrt(self.omega**2 - abs(self.pairing)**2))
+        return float(np.sqrt(self.omega**2 - self.pairing**2))
+
+    @property
+    def mass_eff(self) -> float:
+        """Effective mass M' = M omega_S/(omega_r - Delta_r), in units M omega_S = 1.
+
+        In position and momentum H^R = (omega_r + Delta_r) X^2/2 + (omega_r -
+        Delta_r) P^2/2 = P^2/(2 M') + M' omega_bar^2 X^2/2, which is already
+        diagonal.  omega_r > |Delta_r| keeps M' positive.
+        """
+        return OMEGA_S / (self.omega - self.pairing)
 
 
 @dataclass(frozen=True)
 class BogoliubovFrame:
     """Transformation c = u a + v a^dag diagonalizing the reduced Hamiltonian."""
 
-    u: complex
-    v: complex
+    u: float
+    v: float
     eigenfrequency: float
 
 
-@dataclass(frozen=True)
-class PositionForm:
-    """Quadratic form of the reduced Hamiltonian in position and momentum.
-
-    H = P^2/(2 M') + (M'/2) * harmonic * X^2 + (cross/2)(XP + PX), together
-    with the canonical matrix mapping (X, P) to the quasi-particle pair.
-    """
-
-    mass_eff: float
-    harmonic: float
-    cross: float
-    transform: np.ndarray
-
-    @property
-    def eigenfrequency(self) -> float:
-        return float(np.sqrt(self.harmonic - self.cross**2))
-
-    def form_matrix(self) -> np.ndarray:
-        """Symmetric matrix G with H = (1/2) (X, P) G (X, P)^T."""
-        return np.array([[self.mass_eff * self.harmonic, self.cross],
-                         [self.cross, 1.0 / self.mass_eff]])
-
-
 def _branch_root(moments: Moments) -> float:
-    """sqrt((n + 1/2)^2 - |s|^2), the supported branch of the coefficients."""
+    """sqrt((n + 1/2)^2 - s^2), the supported branch of the coefficients."""
     n, s = moments.occupation, moments.squeezing
-    val = (n + 0.5)**2 - abs(s)**2
+    val = (n + 0.5)**2 - s**2
     if val < 0:
         raise BranchAmbiguity(
             f"(n + 1/2)^2 - |s|^2 = {val:.3e} < 0: unsupported branch")
@@ -81,50 +71,43 @@ def _branch_root(moments: Moments) -> float:
 def reduced_hamiltonian(moments: Moments, temperature: float) -> ReducedHamiltonian:
     """Renormalized frequency and pairing from moments at the given temperature.
 
-    rho = exp(-H^R/T)/Z_S with H^R = omega_r (ad a + 1/2) + (Delta_r* ad^2 +
-    Delta_r a^2)/2 gives omega_r = (n + 1/2) L T/x and Delta_r = -s* L T/x,
-    x = sqrt((n + 1/2)^2 - |s|^2).  L = ln((x + 1/2)/(x - 1/2)) is taken as
-    log1p((x + 1/2)/z2), z2 = x^2 - 1/4 = n^2 + n - |s|^2, so it keeps its
+    rho = exp(-H^R/T)/Z_S with H^R = omega_r (ad a + 1/2) + Delta_r (ad^2 +
+    a^2)/2 gives omega_r = (n + 1/2) L T/x and Delta_r = -s L T/x,
+    x = sqrt((n + 1/2)^2 - s^2).  L = ln((x + 1/2)/(x - 1/2)) is taken as
+    log1p((x + 1/2)/z2), z2 = x^2 - 1/4 = n^2 + n - s^2, so it keeps its
     relative accuracy at both temperature ends.
     """
     n, s = moments.occupation, moments.squeezing
-    if n <= 0 and abs(s) == 0:
+    if n <= 0 and s == 0:
         raise ZeroTemperature("vacuum moments carry no Gibbs data")
     x = _branch_root(moments)
-    z2 = n**2 + n - abs(s)**2
+    z2 = n**2 + n - s**2
     if z2 <= 0:
         raise ZeroTemperature(
             f"n^2 + n - |s|^2 = {z2:.3e} <= 0: zero-temperature edge")
     scale = float(np.log1p((x + 0.5) / z2)) / x * temperature
-    return ReducedHamiltonian(omega=(n + 0.5) * scale,
-                              pairing=-complex(s).conjugate() * scale)
+    return ReducedHamiltonian(omega=(n + 0.5) * scale, pairing=-s * scale)
 
 
 def bogoliubov(h: ReducedHamiltonian) -> BogoliubovFrame:
-    """Bogoliubov pair (u, v) with |u|^2 - |v|^2 = 1 diagonalizing H.
+    """Bogoliubov pair (u, v) with u^2 - v^2 = 1 diagonalizing H.
 
-    The phase of u follows the conjugate of the pairing; the phase of v is
-    fixed by u* v = pairing/(2 eigenfrequency), which is what diagonalizes
-    the position-momentum quadratic form (and leaves the printed moduli
-    sqrt((omega +- wbar)/(2 wbar)) unchanged).  Both moduli are written
-    through omega + wbar, since omega - wbar = |pairing|^2/(omega + wbar)
-    cancels at weak pairing.  The pairing -> 0 limit is (u, v) = (1, 0) by
-    convention.
+    u = sqrt((omega + wbar)/(2 wbar)) > 0 and v = pairing/sqrt(2 wbar
+    (omega + wbar)), so u v = pairing/(2 wbar).  v is written through
+    omega + wbar, since omega - wbar = pairing^2/(omega + wbar) cancels at
+    weak pairing.
     """
     wbar = h.eigenfrequency
-    delta = h.pairing
-    if abs(delta) == 0:
-        return BogoliubovFrame(u=1.0 + 0j, v=0.0 + 0j, eigenfrequency=wbar)
-    u = np.conj(delta) / abs(delta) * np.sqrt((h.omega + wbar) / (2 * wbar))
-    v = abs(delta) / np.sqrt(2 * wbar * (h.omega + wbar))
-    return BogoliubovFrame(u=complex(u), v=complex(v), eigenfrequency=wbar)
+    u = float(np.sqrt((h.omega + wbar) / (2 * wbar)))
+    v = h.pairing / float(np.sqrt(2 * wbar * (h.omega + wbar)))
+    return BogoliubovFrame(u=u, v=v, eigenfrequency=wbar)
 
 
 def extended_bose_einstein(h: ReducedHamiltonian, temperature: float) -> Moments:
     """Occupation and squeezing of the thermal state of the reduced Hamiltonian.
 
     n + 1/2 = (omega/wbar)(n_B(wbar) + 1/2) and
-    s = -(pairing*/wbar)(n_B(wbar) + 1/2); exact inverse of
+    s = -(pairing/wbar)(n_B(wbar) + 1/2); exact inverse of
     ``reduced_hamiltonian``.
     """
     if temperature <= 0:
@@ -132,41 +115,16 @@ def extended_bose_einstein(h: ReducedHamiltonian, temperature: float) -> Moments
     wbar = h.eigenfrequency
     filling = bose_occupation(1.0 / temperature, wbar) + 0.5
     n = (h.omega / wbar) * filling - 0.5
-    s = -(np.conj(h.pairing) / wbar) * filling
-    return Moments(occupation=float(n), squeezing=complex(s))
+    s = -(h.pairing / wbar) * filling
+    return Moments(occupation=float(n), squeezing=float(s))
 
 
 def quasiparticle_occupation(moments: Moments) -> float:
     """Occupation x - 1/2 of the Bogoliubov quasi-particle.
 
-    x = sqrt((n + 1/2)^2 - |s|^2).  The occupation is taken as
-    (n^2 + n - |s|^2)/(x + 1/2), which keeps its relative accuracy as
+    x = sqrt((n + 1/2)^2 - s^2).  The occupation is taken as
+    (n^2 + n - s^2)/(x + 1/2), which keeps its relative accuracy as
     x -> 1/2 (cold or weakly coupled), where x - 1/2 cancels.
     """
     n, s = moments.occupation, moments.squeezing
-    return (n**2 + n - abs(s)**2) / (_branch_root(moments) + 0.5)
-
-
-def position_form(h: ReducedHamiltonian) -> PositionForm:
-    """Position-momentum representation of the reduced Hamiltonian.
-
-    M' = M omega_S/(omega_r - Re Delta) in the moments' unit M omega_S = 1;
-    the harmonic coefficient is omega_r^2 - (Re Delta)^2 and the cross one
-    Im Delta, so the form's eigenfrequency equals the Bogoliubov one.
-    ``ReducedHamiltonian`` holds omega_r > |Delta| >= Re Delta, so M' > 0.
-    """
-    mass_eff = OMEGA_S / (h.omega - h.pairing.real)
-    return PositionForm(mass_eff=float(mass_eff),
-                        harmonic=float(h.omega**2 - h.pairing.real**2),
-                        cross=float(h.pairing.imag),
-                        transform=_coordinate_transform(bogoliubov(h), mass_eff))
-
-
-def _coordinate_transform(frame: BogoliubovFrame, mass_eff: float) -> np.ndarray:
-    """Canonical matrix taking (X, P) to the quasi-particle pair (Xbar, Pbar)."""
-    u, v = frame.u, frame.v
-    mw_bar = mass_eff * frame.eigenfrequency  # in units of M omega_S = 1
-    return np.sqrt(mw_bar) * np.array([
-        [(u.real + v.real) / mw_bar, (v.imag - u.imag) / mw_bar],
-        [u.imag + v.imag, u.real - v.real],
-    ])
+    return (n**2 + n - s**2) / (_branch_root(moments) + 0.5)

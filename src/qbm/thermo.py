@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import solve_moments
-from .errors import InvalidGrid, UnstableReducedPotential
+from .errors import InvalidGrid
 from .finite import normal_mode_frequencies
 from .gibbs import ReducedHamiltonian, extended_bose_einstein, reduced_hamiltonian
 from .spectral import OMEGA_S, ModeList, SpectralConfig
@@ -32,9 +32,9 @@ class ThermoPoint:
 
 
 def internal_energy_hamiltonian(h: ReducedHamiltonian, m: Moments) -> float:
-    """U_H = (1/2)[omega_r (2n + 1) + 2 Re(Delta_r s)]."""
+    """U_H = (1/2)[omega_r (2n + 1) + 2 Delta_r s]."""
     return float(0.5 * (h.omega * (2 * m.occupation + 1)
-                        + 2 * (h.pairing * m.squeezing).real))
+                        + 2 * h.pairing * m.squeezing))
 
 
 def internal_energy_partition(omega_bar: float, temperature: float) -> float:
@@ -60,14 +60,11 @@ def heat_capacity_incomplete(mode: str, h: ReducedHamiltonian,
     """Heat capacity with parts of the pairing discarded.
 
     "drop-imaginary" replaces the eigenfrequency by
-    sqrt(omega_r^2 - (Re Delta)^2); "drop-pairing" by the bare omega_S.
+    sqrt(omega_r^2 - (Re Delta)^2), which for the real pairing is the
+    eigenfrequency itself; "drop-pairing" by the bare omega_S.
     """
     if mode == "drop-imaginary":
-        val = h.omega**2 - h.pairing.real**2
-        if val <= 0:
-            raise UnstableReducedPotential(
-                "omega_r^2 - (Re Delta)^2 <= 0 in drop-imaginary mode")
-        freq = float(np.sqrt(val))
+        freq = h.eigenfrequency
     elif mode == "drop-pairing":
         freq = OMEGA_S
     else:

@@ -18,13 +18,11 @@ from qbm.state import GaussianKernel, Moments
 def kernel_to_moments(kernel: GaussianKernel) -> Moments:
     """Map (Omega_S, Pi_S) to (n, s); the denominator must stay positive."""
     om, pi = kernel.omega_s, kernel.pi_s
-    d = (1 - om) * (1 - np.conj(om)) - abs(pi)**2
-    d = d.real
+    d = (1 - om)**2 - pi**2
     if d <= 0:
         raise NonNormalizable(f"kernel denominator {d:.3e} <= 0")
-    n = ((om * (1 - np.conj(om))).real + abs(pi)**2) / d
-    s = pi / d
-    return Moments(occupation=float(n), squeezing=complex(s))
+    return Moments(occupation=float((om * (1 - om) + pi**2) / d),
+                   squeezing=float(pi / d))
 
 
 def log_partition_total(modes, beta: float, counterterm: bool = False) -> float:

@@ -313,6 +313,10 @@ class TestMain:
         assert main(["--gamma", "0.5", "--temperature", "10",
                      "--no-timestamp", "state"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "gamma", "temperature", "occupation", "squeezing_re",
+            "omega_s_kernel", "pi_s_kernel", "omega_r", "delta_abs",
+            "omega_bar", "z_reduced", "quasiparticle_occupation", "mass_eff"]
         assert payload["occupation"] == pytest.approx(9.5424, abs=1e-3)
         assert payload["omega_bar"] == pytest.approx(0.9966, abs=1e-3)
 
@@ -325,13 +329,14 @@ class TestMain:
         # the squeezed thermal state: Bose-Einstein quasi-particles at omega_bar
         assert p["quasiparticle_occupation"] == pytest.approx(
             1 / math.expm1(p["omega_bar"] / temperature), rel=1e-12)
-        assert p["harmonic"] - p["cross"]**2 == pytest.approx(
-            p["omega_bar"]**2, rel=1e-12)
-        # the continuum squeezing is real, so Re Delta_r = -s omega_r / (n + 1/2)
-        assert p["squeezing_im"] == 0
-        re_delta = -p["squeezing_re"] * p["omega_r"] / (p["occupation"] + 0.5)
-        assert p["mass_eff"] == pytest.approx(1 / (p["omega_r"] - re_delta),
+        # Delta_r = -s omega_r / (n + 1/2), and H^R = P^2/(2 mass_eff) +
+        # mass_eff omega_bar^2 X^2/2 = (omega_r - Delta_r) P^2/2 +
+        # (omega_r + Delta_r) X^2/2
+        delta = -p["squeezing_re"] * p["omega_r"] / (p["occupation"] + 0.5)
+        assert p["mass_eff"] == pytest.approx(1 / (p["omega_r"] - delta),
                                               rel=1e-12)
+        assert p["mass_eff"] * p["omega_bar"]**2 == pytest.approx(
+            p["omega_r"] + delta, rel=1e-12)
 
     def test_figure_writes_file(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

@@ -15,7 +15,7 @@ CFG = SpectralConfig(gamma=0.5, cutoff=20.0)
 
 class TestInternalEnergy:
     def test_zero_point(self):
-        h = ReducedHamiltonian(omega=0.9, pairing=0j)
+        h = ReducedHamiltonian(omega=0.9, pairing=0.0)
         m = extended_bose_einstein(h, 1e-9)
         assert internal_energy_hamiltonian(h, m) == pytest.approx(0.45, rel=1e-8)
 
@@ -76,13 +76,13 @@ class TestHeatCapacity:
 
 class TestIncompleteModes:
     def test_real_pairing_drop_imaginary_equals_exact(self):
-        h = ReducedHamiltonian(omega=1.0, pairing=0.4 + 0j)
+        h = ReducedHamiltonian(omega=1.0, pairing=0.4)
         for t in (0.1, 1.0, 5.0):
             assert heat_capacity_incomplete("drop-imaginary", h, t) == \
                 pytest.approx(heat_capacity_exact(h.eigenfrequency, t), rel=1e-12)
 
     def test_drop_pairing_uses_bare_frequency(self):
-        h = ReducedHamiltonian(omega=0.8, pairing=0.3 + 0j)
+        h = ReducedHamiltonian(omega=0.8, pairing=0.3)
         assert heat_capacity_incomplete("drop-pairing", h, 2.0) == \
             pytest.approx(heat_capacity_exact(1.0, 2.0), rel=1e-12)
 
