@@ -38,7 +38,7 @@ class RunConfig:
 
     gamma: float = 0.5
     cutoff: float = 20.0
-    temperatures: tuple = tuple(np.geomspace(0.05, 3.0, 60))
+    temperatures: tuple = tuple(np.geomspace(0.05, 3.0, 60).tolist())
     gammas: tuple = _FIGURE_GAMMAS
     temperature: float = 1.0
     k_c: int = 400
@@ -213,8 +213,8 @@ def _once(compute):
 # Figures 1a/1b scan the coupling at T = 10 (from the decoupled limit to
 # gamma = 3, with a weak-coupling zoom), 2a/2b the temperature at gamma = 0.5.
 _COUPLING_SCAN = np.unique(np.concatenate([[1e-6], np.geomspace(1e-4, 0.05, 12),
-                                           np.geomspace(0.06, 3.0, 48)]))
-_TEMPERATURE_SCAN = np.geomspace(0.1, 20.0, 60)
+                                           np.geomspace(0.06, 3.0, 48)])).tolist()
+_TEMPERATURE_SCAN = np.geomspace(0.1, 20.0, 60).tolist()
 
 
 def _moment_values(m, temp: float) -> list:
@@ -274,7 +274,7 @@ def _thermo_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset
 
 def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
     temps = np.unique(np.concatenate([np.geomspace(0.02, 0.05, 10),
-                                      np.asarray(cfg.temperatures)]))
+                                      np.asarray(cfg.temperatures)])).tolist()
     rows = []
     for gamma in _FIG5_GAMMAS:
         scfg = cfg.spectral(gamma)
@@ -426,8 +426,11 @@ def render_csv(ds: FigureDataset, timestamp: bool) -> str:
     if timestamp:
         lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     lines.append(",".join(ds.columns))
-    for row in ds.rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    if ds.rows:
+        # one format per dataset: a column keeps its value type in every row
+        fmt = ",".join("%.12g" if isinstance(v, float) else "%s"
+                       for v in ds.rows[0])
+        lines += [fmt % tuple(row) for row in ds.rows]
     return "\n".join(lines) + "\n"
 
 

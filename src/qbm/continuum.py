@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import polygamma, psi
+from scipy.special import psi, zeta
 
 from .errors import InvalidGrid, InvertedPotential
 from .spectral import SpectralConfig
@@ -27,12 +27,15 @@ from .state import Moments
 # that radius the direct differences lose at most a few digits to cancellation.
 _TAYLOR_RADIUS = 0.01
 _ORDERS = np.arange(12)
-_FACTORIALS = np.cumprod(np.maximum(_ORDERS, 1)).astype(float)
 
 
 def _psi_taylor(z: float, s: float) -> np.ndarray:
-    """Taylor coefficients in y of psi(z - s*y) about y = 0, for real z >= 1."""
-    return (-s) ** _ORDERS * polygamma(_ORDERS, z) / _FACTORIALS
+    """Taylor coefficients in y of psi(z - s*y) about y = 0, for real z >= 1.
+
+    Past the constant term they are psi^(k)(z) (-s)^k / k! = -s^k zeta(k + 1, z).
+    """
+    k = _ORDERS[1:]
+    return np.concatenate(([psi(z)], -s ** k * zeta(k + 1, z)))
 
 
 def _isolated_root(wc: float, a1: float, a0: float) -> float:
@@ -94,7 +97,10 @@ def _digamma_sums(wc: float, a1: float, a0: float, gw2: float,
         mean, slope = float(a[0::2] @ powers), float(a[1::2] @ powers)
     elif h2 < 0:
         k = math.sqrt(-h2)
-        w = complex(psi(complex(zm, s * k)))
+        # psi(z) = psi(z + 1) - 1/z keeps scipy off its slow series near the
+        # positive root of psi, since Re(z + 1) = zm + 1 >= 2
+        z = complex(zm, s * k)
+        w = complex(psi(z + 1)) - 1 / z
         mean, slope = w.real, -w.imag / k
     else:
         k = math.sqrt(h2)

@@ -11,6 +11,7 @@ one or two modes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,7 @@ def reduced_partition(moments: Moments) -> float:
     if val <= 1e-300:
         raise ZeroTemperature(
             f"n^2 + n - |s|^2 = {val:.3e} <= 0: zero-temperature edge")
-    return float(np.sqrt(val))
+    return math.sqrt(val)
 
 
 def moments_from_modes(modes: ModeList, beta: float,

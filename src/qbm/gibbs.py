@@ -9,9 +9,8 @@ its position form is the effective mass and the eigenfrequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BranchAmbiguity, UnstableReducedPotential, ZeroTemperature
 from .spectral import OMEGA_S, bose_occupation
@@ -36,7 +35,7 @@ class ReducedHamiltonian:
 
     @property
     def eigenfrequency(self) -> float:
-        return float(np.sqrt(self.omega**2 - self.pairing**2))
+        return math.sqrt(self.omega**2 - self.pairing**2)
 
     @property
     def mass_eff(self) -> float:
@@ -65,7 +64,7 @@ def _branch_root(moments: Moments) -> float:
     if val < 0:
         raise BranchAmbiguity(
             f"(n + 1/2)^2 - |s|^2 = {val:.3e} < 0: unsupported branch")
-    return float(np.sqrt(val))
+    return math.sqrt(val)
 
 
 def reduced_hamiltonian(moments: Moments, temperature: float) -> ReducedHamiltonian:
@@ -85,7 +84,7 @@ def reduced_hamiltonian(moments: Moments, temperature: float) -> ReducedHamilton
     if z2 <= 0:
         raise ZeroTemperature(
             f"n^2 + n - |s|^2 = {z2:.3e} <= 0: zero-temperature edge")
-    scale = float(np.log1p((x + 0.5) / z2)) / x * temperature
+    scale = math.log1p((x + 0.5) / z2) / x * temperature
     return ReducedHamiltonian(omega=(n + 0.5) * scale, pairing=-s * scale)
 
 
@@ -98,8 +97,8 @@ def bogoliubov(h: ReducedHamiltonian) -> BogoliubovFrame:
     weak pairing.
     """
     wbar = h.eigenfrequency
-    u = float(np.sqrt((h.omega + wbar) / (2 * wbar)))
-    v = h.pairing / float(np.sqrt(2 * wbar * (h.omega + wbar)))
+    u = math.sqrt((h.omega + wbar) / (2 * wbar))
+    v = h.pairing / math.sqrt(2 * wbar * (h.omega + wbar))
     return BogoliubovFrame(u=u, v=v, eigenfrequency=wbar)
 
 

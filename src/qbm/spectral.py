@@ -87,12 +87,9 @@ def eval_spectral_density(cfg: SpectralConfig, omega):
     return out if out.ndim else float(out)
 
 
-def bose_occupation(beta: float, omega):
+def bose_occupation(beta: float, omega: float) -> float:
     """1/(exp(beta*w) - 1), overflow-safe for large arguments."""
-    x = np.asarray(beta * np.asarray(omega, dtype=float))
-    with np.errstate(over="ignore", divide="ignore"):
-        out = 1.0 / np.expm1(np.minimum(x, 700.0))
-    return out if out.ndim else float(out)
+    return 1.0 / math.expm1(min(beta * omega, 700.0))
 
 
 def discretize(cfg: SpectralConfig, k_c: int, omega_max: float) -> ModeList:

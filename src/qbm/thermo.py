@@ -8,6 +8,7 @@ discretized model per normal mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ def internal_energy_partition(omega_bar: float, temperature: float) -> float:
     if omega_bar <= 0 or temperature <= 0:
         raise InvalidGrid("omega_bar and temperature must be positive")
     x = omega_bar / (2 * temperature)
-    return float(0.5 * omega_bar / np.tanh(min(x, 350.0)))
+    return 0.5 * omega_bar / math.tanh(min(x, 350.0))
 
 
 def heat_capacity_exact(omega_bar: float, temperature: float) -> float:
@@ -52,7 +53,7 @@ def heat_capacity_exact(omega_bar: float, temperature: float) -> float:
     x = omega_bar / (2 * temperature)
     if x > 350.0:
         return 0.0
-    return float((x / np.sinh(x))**2)
+    return (x / math.sinh(x))**2
 
 
 def heat_capacity_incomplete(mode: str, h: ReducedHamiltonian,
@@ -120,6 +121,6 @@ def exact_point(cfg: SpectralConfig, temperature: float,
     u = internal_energy_hamiltonian(h, m)
     c = heat_capacity_exact(wbar, temperature)
     x = wbar / (2 * temperature)
-    z = float(0.5 / np.sinh(min(x, 350.0))) if x < 350.0 else 0.0
+    z = 0.5 / math.sinh(x) if x < 350.0 else 0.0
     return ThermoPoint(temperature=temperature, coupling=cfg.gamma,
                        internal_energy=u, heat_capacity=c, z_reduced=z)

@@ -244,6 +244,30 @@ class TestSerialization:
         assert all(datasets[key].metadata["t_ref"] == small_cfg.t_ref
                    for key in echoed)
 
+    def test_csv_rows_match_per_cell_formatting(self, small_cfg):
+        # one %-format per dataset, built from its first row, writes the
+        # bytes of formatting every cell on its own; the first row of the
+        # flagged dataset is a failure
+        flagged = run_figure("3a", replace(small_cfg, counterterm=False,
+                                           gammas=(0.5, 0.01)))
+        assert flagged.rows[0][-1].startswith("InvertedPotential: ")
+        datasets = [run_figure(f, small_cfg) for f in FIGURE_IDS]
+        datasets += [flagged, cli._sweep_dataset(small_cfg, "thermo"),
+                     oracle_compare(small_cfg, gammas=(0.0, 0.5),
+                                    temperatures=(1.0,), ladder=(10, 20))]
+        datasets += [cli._sweep_dataset(small_cfg, f"sweep-{p}", axis, p)
+                     for axis in ("temperature", "coupling") for p in PIPELINES]
+        for ds in datasets:
+            lines = render_csv(ds, timestamp=False).splitlines()
+            body = lines[lines.index(",".join(ds.columns)) + 1:]
+            assert body == [",".join(cli._format_value(v) for v in row)
+                            for row in ds.rows], ds.figure_id
+
+    def test_figure_rows_hold_plain_floats(self, small_cfg):
+        for figure_id in FIGURE_IDS:
+            for row in run_figure(figure_id, small_cfg).rows:
+                assert all(type(v) is float for v in row[:-1]), figure_id
+
     def test_flagged_csv_reads_back(self):
         # render_csv does not quote, so a comma in an error message would
         # split its cell: every row keeps the header's width and every error

@@ -8,6 +8,7 @@ from scipy.special import polygamma
 from qbm import (GaussianKernel, InvertedPotential, Moments, NonNormalizable,
                  SpectralConfig, discretize, matsubara_moments,
                  moments_to_kernel, oracle_moments, solve_moments)
+from qbm.continuum import _psi_taylor
 
 from laplace_reference import self_energy
 from references import kernel_to_moments
@@ -223,6 +224,56 @@ class TestMatsubaraOracle:
         for dg in (0.0, 1e-6):
             for temperature in (1e-3, 1.0, 20.0):
                 self._assert_close(8 / cutoff + dg, cutoff, temperature)
+
+
+PSI_ROOT = 1.4616321449683623  # the positive zero of the digamma function
+
+
+@pytest.mark.parametrize("z", [1.0, 1.46, 3.0, 20.0])
+@pytest.mark.parametrize("s", [1e-3, 0.3])
+def test_psi_taylor_matches_mpmath(z, s):
+    # coefficient k of psi(z - s*y) in y is psi^(k)(z) (-s)^k / k!
+    coeffs = _psi_taylor(z, s)
+    with mpmath.workdps(40):
+        for k, a in enumerate(coeffs):
+            ref = (mpmath.psi(k, z) * (-mpmath.mpf(s))**k
+                   / mpmath.factorial(k))
+            assert abs(a - ref) <= 1e-14 * abs(ref)
+
+
+def _closed_form_moments(gamma, cutoff, beta):
+    """(n, s, pair arguments) from the digamma closed form at 40 digits.
+
+    The roots of P come from mpmath.polyroots; the pair arguments are the
+    values 1 - beta r / 2 pi at the complex-conjugate roots r.
+    """
+    with mpmath.workdps(40):
+        g, wc, b = mpmath.mpf(gamma), mpmath.mpf(cutoff), mpmath.mpf(beta)
+        a1, a0 = 1 + g * wc, wc
+        roots = mpmath.polyroots([1, wc, a1, a0], maxsteps=200, extraprec=200)
+        scale = b / (2 * mpmath.pi)
+        sum_n = sum_q = 0
+        for r in roots:
+            w = mpmath.digamma(1 - scale * r) / ((3 * r + 2 * wc) * r + a1)
+            sum_n += (r + wc) * w
+            sum_q += (a1 * r + a0) * w
+        x2 = wc / a0 / b - mpmath.re(sum_n) / mpmath.pi
+        p2 = 1 / b - mpmath.re(sum_q) / mpmath.pi
+        pairs = [complex(1 - scale * r) for r in roots if mpmath.im(r) != 0]
+        return float((x2 + p2) / 2 - mpmath.mpf(1) / 2), float((x2 - p2) / 2), pairs
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.5, 3.0])
+@pytest.mark.parametrize("temperature", [1.0, 10.0, 20.0])
+def test_matches_closed_form_near_psi_root(gamma, temperature):
+    # at cutoff 20 every complex pair argument lies within 0.5 of the
+    # positive zero of psi, where scipy's complex psi changes its method
+    ref_n, ref_s, pairs = _closed_form_moments(gamma, 20.0, 1.0 / temperature)
+    assert all(abs(z - PSI_ROOT) < 0.5 for z in pairs)
+    m = matsubara_moments(SpectralConfig(gamma, 20.0), 1.0 / temperature)
+    tol = 1e-14 * (abs(ref_n) + 1)
+    assert abs(m.occupation - ref_n) <= tol
+    assert abs(m.squeezing - ref_s) <= tol
 
 
 def _matsubara_kernel(cfg, beta):

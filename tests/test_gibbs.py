@@ -1,14 +1,17 @@
 """Reduced Hamiltonian, Bogoliubov frame and position representation."""
 
+from dataclasses import fields
+
 import mpmath
 import numpy as np
 import pytest
 
 from qbm import (BranchAmbiguity, ModeList, Moments, SpectralConfig,
                  UnstableReducedPotential, ZeroTemperature, bogoliubov,
-                 extended_bose_einstein, fock_oracle, matsubara_moments,
-                 moments_from_modes, moments_to_kernel, oracle_moments,
-                 quasiparticle_occupation, reduced_hamiltonian)
+                 exact_point, extended_bose_einstein, fock_oracle,
+                 matsubara_moments, moments_from_modes, moments_to_kernel,
+                 oracle_moments, quasiparticle_occupation, reduced_hamiltonian,
+                 reduced_partition)
 from qbm.gibbs import ReducedHamiltonian
 
 THERMAL = Moments(occupation=1 / (np.e - 1), squeezing=0.0)
@@ -50,11 +53,21 @@ def test_squeezing_is_float(route):
     assert type(kernel.omega_s) is float and type(kernel.pi_s) is float
 
 
-def test_pairing_is_float():
-    h = _continuum_hamiltonian()
+@pytest.mark.parametrize("temperature", [0.05, 1.0, 20.0])
+def test_point_quantities_are_float(temperature):
+    # the per-point layers compute on plain floats, never numpy scalars
+    m = matsubara_moments(CONTINUUM, 1.0 / temperature)
+    h = reduced_hamiltonian(m, temperature)
     frame = bogoliubov(h)
-    assert type(h.pairing) is float
-    assert type(frame.u) is float and type(frame.v) is float
+    thermal = extended_bose_einstein(h, 2 * temperature)
+    point = exact_point(CONTINUUM, 2 * temperature, h)
+    values = {"omega": h.omega, "pairing": h.pairing,
+              "eigenfrequency": h.eigenfrequency, "mass_eff": h.mass_eff,
+              "u": frame.u, "v": frame.v, "n": thermal.occupation,
+              "s": thermal.squeezing, "z": reduced_partition(m),
+              **{f.name: getattr(point, f.name) for f in fields(point)}}
+    assert {k: type(v) for k, v in values.items()
+            if type(v) is not float} == {}
 
 
 class TestReducedHamiltonian:
