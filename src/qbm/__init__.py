@@ -24,7 +24,7 @@ from .finite import (FockResult, TotalGaussian, fock_oracle,
 from .gibbs import (BogoliubovFrame, ReducedHamiltonian, bogoliubov,
                     extended_bose_einstein, quasiparticle_occupation,
                     reduced_hamiltonian)
-from .thermo import (ThermoPoint, exact_point, heat_capacity_exact,
-                     heat_capacity_incomplete, internal_energy_hamiltonian,
-                     internal_energy_partition, naive_curves,
+from .thermo import (ThermoPoint, exact_curves, exact_point,
+                     heat_capacity_exact, heat_capacity_incomplete,
+                     internal_energy_hamiltonian, naive_curves,
                      reduced_hamiltonian_at)

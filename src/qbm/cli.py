@@ -20,13 +20,12 @@ from . import __version__
 from .continuum import solve_moments
 from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
-from .gibbs import (extended_bose_einstein, quasiparticle_occupation,
-                    reduced_hamiltonian)
-from .spectral import ModeList, SpectralConfig, discretize
+from .gibbs import quasiparticle_occupation, reduced_hamiltonian
+from .spectral import OMEGA_S, ModeList, SpectralConfig, discretize
 from .state import moments_to_kernel
-from .thermo import (exact_point, heat_capacity_exact, heat_capacity_incomplete,
-                     internal_energy_hamiltonian, internal_energy_partition,
-                     naive_curves, reduced_hamiltonian_at)
+from .thermo import (exact_curves, exact_point, heat_capacity_exact,
+                     heat_capacity_incomplete, naive_curves,
+                     reduced_hamiltonian_at)
 
 _FIGURE_GAMMAS = (0.1, 0.5, 1.0, 2.0, 3.0)
 _FIG5_GAMMAS = (0.1, 0.3, 0.6, 1.0, 2.0)
@@ -229,36 +228,53 @@ def _hamiltonian_values(m, temp: float) -> list:
 def _scan_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset:
     columns, values = spec
     by_coupling = figure_id.startswith("1")
+    fixed_bath = cfg.spectral(0.5)  # every row of a temperature scan
     rows = []
     for x in _COUPLING_SCAN if by_coupling else _TEMPERATURE_SCAN:
-        gamma, temp = (x, 10.0) if by_coupling else (0.5, x)
+        scfg, temp = (cfg.spectral(x), 10.0) if by_coupling else (fixed_bath, x)
         rows.append(_flagged([x], len(columns), lambda: values(
-            solve_moments(cfg.spectral(gamma), 1.0 / temp), temp)))
+            solve_moments(scfg, 1.0 / temp), temp)))
     fixed = {"temperature": 10.0} if by_coupling else {"gamma": 0.5}
     return FigureDataset(figure_id, ["gamma" if by_coupling else "T"] + columns
                          + ["error"], rows, _meta(cfg, **fixed))
 
 
-def _capacities_from_h_and_z(h, temp: float) -> list:
-    c_h = heat_capacity_exact(h.eigenfrequency, temp)
-    du = 1e-5 * temp
-    c_z = (internal_energy_partition(h.eigenfrequency, temp + du)
-           - internal_energy_partition(h.eigenfrequency, temp - du)) / (2 * du)
-    return [c_h, c_z]
+def _capacities_from_h_and_z(h, temps) -> list:
+    """C from H^R in closed form, and from Z^R as a central difference of U_Z."""
+    temps = np.asarray(temps)
+    du = 1e-5 * temps
+    # one pass over T, T + du and T - du
+    _, u_z, c_h, _ = exact_curves(
+        h, np.concatenate([temps, temps + du, temps - du]), h.eigenfrequency)
+    n = len(temps)
+    return [c_h[:n], (u_z[n:2 * n] - u_z[2 * n:]) / (2 * du)]
 
 
-def _coupling_rows(cfg: RunConfig, gammas, temps, width: int, prepare,
-                   values) -> list:
-    """Rows [T, gamma, *values(prepared, T), error] over gammas x temps.
+def _capacities_at(frequency):
+    """values(h, temps) of a figure 4: C at frequency(h) beside C at omega_bar."""
+    def values(h, temps) -> list:
+        _, _, c_exact, c_incomplete = exact_curves(h, temps, frequency(h))
+        return [c_incomplete, c_exact]
+    return values
 
-    ``prepare(SpectralConfig)`` runs once per coupling; its QbmError flags
-    every row of that coupling without a retry.
+
+def _coupling_rows(cfg: RunConfig, gammas, temps, width: int, columns) -> list:
+    """Rows [T, gamma, *values, error] over gammas x temps.
+
+    ``columns(SpectralConfig, temps)`` runs once per coupling and returns
+    ``width`` value columns over temps; its QbmError flags every row of that
+    coupling.
     """
     rows = []
     for gamma in gammas:
-        prepared = _once(lambda: prepare(cfg.spectral(gamma)))
-        rows += [_flagged([temp, gamma], width, lambda: values(prepared(), temp))
-                 for temp in temps]
+        try:
+            table = np.array(columns(cfg.spectral(gamma), temps), dtype=float)
+        except QbmError as exc:
+            failed = [float("nan")] * width + [f"{type(exc).__name__}: {exc}"]
+            rows += [[temp, gamma] + failed for temp in temps]
+            continue
+        rows += [[temp, gamma, *values, ""]
+                 for temp, values in zip(temps, table.T.tolist())]
     return rows
 
 
@@ -266,8 +282,8 @@ def _thermo_figure(cfg: RunConfig, figure_id: str, spec: tuple) -> FigureDataset
     """Rows over cfg.gammas x cfg.temperatures from h extracted at t_ref."""
     columns, values, extra = spec
     rows = _coupling_rows(cfg, cfg.gammas, cfg.temperatures, len(columns),
-                          lambda scfg: reduced_hamiltonian_at(scfg, cfg.t_ref),
-                          values)
+                          lambda scfg, temps: values(
+                              reduced_hamiltonian_at(scfg, cfg.t_ref), temps))
     return FigureDataset(figure_id, ["T", "gamma"] + columns + ["error"], rows,
                          _meta(cfg, t_ref=cfg.t_ref, **extra))
 
@@ -300,24 +316,25 @@ def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
 
 
 # figure id -> (builder, spec).  A scan's spec is (columns, values(moments, T)),
-# a figure-3/4 spec (columns, values(h, T), extra metadata).  The callables
-# here look the public qbm functions up by module-global name at call time.
+# a figure-3/4 spec (columns, values(h, temps) as columns, extra metadata).
+# The callables here look the public qbm functions up by module-global name at
+# call time.
 _BUILDERS = {
     "1a": (_scan_figure, (["n", "s_abs"], _moment_values)),
     "1b": (_scan_figure, (["omega_r", "delta_abs", "omega_bar"], _hamiltonian_values)),
     "2a": (_scan_figure, (["n", "s_abs"], _moment_values)),
     "2b": (_scan_figure, (["omega_r", "delta_abs"],
                           lambda m, temp: _hamiltonian_values(m, temp)[:2])),
-    "3a": (_thermo_figure, (["U_from_H", "U_from_Z"], lambda h, temp: [
-        internal_energy_hamiltonian(h, extended_bose_einstein(h, temp)),
-        internal_energy_partition(h.eigenfrequency, temp)], {})),
+    "3a": (_thermo_figure, (["U_from_H", "U_from_Z"], lambda h, temps:
+                            exact_curves(h, temps, h.eigenfrequency)[:2], {})),
     "3b": (_thermo_figure, (["C_from_H", "C_from_Z"], _capacities_from_h_and_z, {})),
-    "4a": (_thermo_figure, (["C_incomplete", "C_exact"], lambda h, temp: [
-        heat_capacity_incomplete("drop-imaginary", h, temp),
-        heat_capacity_exact(h.eigenfrequency, temp)], {"mode": "drop-imaginary"})),
-    "4b": (_thermo_figure, (["C_incomplete", "C_exact"], lambda h, temp: [
-        heat_capacity_incomplete("drop-pairing", h, temp),
-        heat_capacity_exact(h.eigenfrequency, temp)], {"mode": "drop-pairing"})),
+    # the frequencies heat_capacity_incomplete takes for these two modes
+    "4a": (_thermo_figure, (["C_incomplete", "C_exact"],
+                            _capacities_at(lambda h: h.eigenfrequency),
+                            {"mode": "drop-imaginary"})),
+    "4b": (_thermo_figure, (["C_incomplete", "C_exact"],
+                            _capacities_at(lambda h: OMEGA_S),
+                            {"mode": "drop-pairing"})),
     "5": (_figure_5, None),
 }
 FIGURE_IDS = tuple(_BUILDERS)
@@ -386,25 +403,21 @@ def _sweep_dataset(cfg: RunConfig, name: str, axis: str = "temperature",
                      else (grid, (cfg.temperature,)))
     fixed = {"gamma": cfg.gamma} if axis == "temperature" else {}
     if pipeline == "naive":
-        def prepare(scfg):  # one discretization and decomposition per coupling
+        def columns(scfg, temps):  # one discretization and decomposition
             curves = naive_curves(discretize(scfg, cfg.k_c, cfg.omega_max),
                                   [1.0 / t for t in temps], cfg.counterterm)
-            return dict(zip(temps, zip(*curves)))
-
-        def values(curves, temp):
-            return [*curves[temp], float("nan")]
+            return [*curves, [float("nan")] * len(temps)]
     else:
-        def prepare(scfg):
-            return scfg, reduced_hamiltonian_at(scfg, cfg.t_ref)
-
-        def values(prepared, temp):
-            scfg, h = prepared
-            point = exact_point(scfg, temp, h)
-            c = (point.heat_capacity if pipeline == "exact"
-                 else heat_capacity_incomplete(pipeline, h, temp))
-            return [point.internal_energy, c, point.z_reduced]
+        def columns(scfg, temps):
+            h = reduced_hamiltonian_at(scfg, cfg.t_ref)
+            points = [exact_point(scfg, temp, h) for temp in temps]
+            capacities = ([p.heat_capacity for p in points] if pipeline == "exact"
+                          else [heat_capacity_incomplete(pipeline, h, temp)
+                                for temp in temps])
+            return [[p.internal_energy for p in points], capacities,
+                    [p.z_reduced for p in points]]
         fixed["t_ref"] = cfg.t_ref
-    rows = _coupling_rows(cfg, gammas, temps, 3, prepare, values)
+    rows = _coupling_rows(cfg, gammas, temps, 3, columns)
     return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],
                          rows, _meta(cfg, axis=axis, **fixed)).validate()
 

@@ -10,7 +10,7 @@ its position form is the effective mass and the eigenfrequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BranchAmbiguity, UnstableReducedPotential, ZeroTemperature
 from .spectral import OMEGA_S, bose_occupation
@@ -21,21 +21,22 @@ from .state import Moments
 class ReducedHamiltonian:
     """Renormalized frequency omega_r and real pairing Delta_r of the reduced mode.
 
-    H^R = omega_r (a^dag a + 1/2) + Delta_r (a^dag^2 + a^2)/2.
+    H^R = omega_r (a^dag a + 1/2) + Delta_r (a^dag^2 + a^2)/2.  Its
+    eigenfrequency omega_bar = sqrt(omega_r^2 - Delta_r^2) is computed once,
+    at construction.
     """
 
     omega: float
     pairing: float
+    eigenfrequency: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= abs(self.pairing):
             raise UnstableReducedPotential(
                 f"omega_r = {self.omega:.6g} <= |Delta_r| = "
                 f"{abs(self.pairing):.6g}")
-
-    @property
-    def eigenfrequency(self) -> float:
-        return math.sqrt(self.omega**2 - self.pairing**2)
+        object.__setattr__(self, "eigenfrequency",
+                           math.sqrt(self.omega**2 - self.pairing**2))
 
     @property
     def mass_eff(self) -> float:

@@ -38,14 +38,6 @@ def internal_energy_hamiltonian(h: ReducedHamiltonian, m: Moments) -> float:
                         + 2 * h.pairing * m.squeezing))
 
 
-def internal_energy_partition(omega_bar: float, temperature: float) -> float:
-    """U_Z = (wbar/2) coth(wbar / 2T) = -d/d beta of ln Z_S^r."""
-    if omega_bar <= 0 or temperature <= 0:
-        raise InvalidGrid("omega_bar and temperature must be positive")
-    x = omega_bar / (2 * temperature)
-    return 0.5 * omega_bar / math.tanh(min(x, 350.0))
-
-
 def heat_capacity_exact(omega_bar: float, temperature: float) -> float:
     """C = [x csch x]^2 with x = wbar / 2T; monotone in T, bounded by 1."""
     if omega_bar <= 0 or temperature <= 0:
@@ -78,12 +70,16 @@ def _mode_coth_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.sum(freqs / 2 / np.tanh(x), axis=1)
 
 
-def _mode_csch2_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    x = betas[:, None] * freqs / 2
-    mask = x < 350.0
+def _csch2(x: np.ndarray) -> np.ndarray:
+    """[x csch x]^2 elementwise, and exactly 0 past x = 350."""
+    mask = x <= 350.0
     val = np.zeros_like(x)
     val[mask] = (x[mask] / np.sinh(x[mask]))**2
-    return np.sum(val, axis=1)
+    return val
+
+
+def _mode_csch2_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    return np.sum(_csch2(betas[:, None] * freqs / 2), axis=1)
 
 
 def naive_curves(modes: ModeList, betas,
@@ -100,6 +96,31 @@ def naive_curves(modes: ModeList, betas,
     energies = _mode_coth_sums(freqs, betas) - _mode_coth_sums(bath, betas)
     capacities = _mode_csch2_sums(freqs, betas) - _mode_csch2_sums(bath, betas)
     return energies.tolist(), capacities.tolist()
+
+
+def exact_curves(h: ReducedHamiltonian, temperatures, frequency: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U_H, U_Z, C at omega_bar and C at ``frequency`` on a temperature grid.
+
+    The grid form of the exact pipeline for one reduced Hamiltonian, with the
+    formulas and cutoffs of the scalar functions: U_H from the extended
+    Bose-Einstein moments, U_Z = (wbar/2) coth(wbar/2T) = -d ln Z_S^r/d beta,
+    and C = [x csch x]^2 with x = w/2T, exactly 0 past x = 350.  Each is one
+    numpy pass over the grid; when ``frequency`` is omega_bar the two
+    capacities are one array.
+    """
+    temps = np.asarray(temperatures, dtype=float)
+    wbar = h.eigenfrequency
+    filling = 1.0 / np.expm1(np.minimum(1.0 / temps * wbar, 700.0)) + 0.5
+    n = (h.omega / wbar) * filling - 0.5
+    s = -(h.pairing / wbar) * filling
+    energy_h = 0.5 * (h.omega * (2 * n + 1) + 2 * h.pairing * s)
+    double_t = 2 * temps
+    x = wbar / double_t
+    energy_z = 0.5 * wbar / np.tanh(np.minimum(x, 350.0))
+    capacity = _csch2(x)
+    return (energy_h, energy_z, capacity, capacity if frequency == wbar
+            else _csch2(frequency / double_t))
 
 
 def reduced_hamiltonian_at(cfg: SpectralConfig,

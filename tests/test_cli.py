@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qbm import (ConfigError, QbmError, SpectralConfig, cli, discretize,
-                 exact_point, heat_capacity_incomplete, naive_curves,
-                 reduced_hamiltonian_at, solve_moments)
+                 exact_point, heat_capacity_exact, heat_capacity_incomplete,
+                 naive_curves, reduced_hamiltonian_at, solve_moments)
 from qbm.cli import (FIGURE_IDS, RunConfig, main, oracle_compare, parse_config,
                      render_csv, render_json, run_figure)
 
@@ -161,6 +161,23 @@ class TestFigures:
         for row in ds.rows:
             assert row[2] == pytest.approx(row[3], rel=1e-8)
 
+    def test_figure_3b_capacity_columns_agree(self, small_cfg):
+        # C_from_Z is a central difference of U_Z over T +- 1e-5 T
+        rows = run_figure("3b", small_cfg).rows
+        assert all(abs(row[2] - row[3]) <= 1e-6 for row in rows)
+
+    @pytest.mark.parametrize("figure_id,mode", [("4a", "drop-imaginary"),
+                                                ("4b", "drop-pairing")])
+    def test_figure_4_rows_match_the_scalar_path(self, small_cfg, figure_id, mode):
+        ds = run_figure(figure_id, small_cfg)
+        assert ds.metadata["mode"] == mode
+        for temp, gamma, c_incomplete, c_exact, error in ds.rows:
+            h = reduced_hamiltonian_at(small_cfg.spectral(gamma), small_cfg.t_ref)
+            assert error == "" and c_incomplete == pytest.approx(
+                heat_capacity_incomplete(mode, h, temp), rel=1e-14, abs=0.0)
+            assert c_exact == pytest.approx(
+                heat_capacity_exact(h.eigenfrequency, temp), rel=1e-14, abs=0.0)
+
     def test_figure_5_exact_column_positive(self, small_cfg):
         ds = run_figure("5", small_cfg)
         assert all(row[3] > 0 for row in ds.rows)
@@ -202,6 +219,16 @@ class TestFigures:
         assert calls == [0.5]
         assert {row[-1] for row in ds.rows} == {
             _error_cell(lambda: reduced_hamiltonian_at(UNSTABLE, small_cfg.t_ref))}
+
+    @pytest.mark.parametrize("figure_id", ["3a", "3b", "4a", "4b"])
+    def test_programming_errors_propagate(self, small_cfg, monkeypatch, figure_id):
+        # only QbmError flags a coupling; a bug in the grid evaluation raises
+        def broken(*args, **kwargs):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(cli, "exact_curves", broken)
+        with pytest.raises(TypeError, match="broken"):
+            run_figure(figure_id, small_cfg)
 
 
 class TestSerialization:

@@ -1,16 +1,24 @@
 """Internal energies, heat capacities and the naive comparison pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qbm import (SpectralConfig, discretize, extended_bose_einstein,
-                 heat_capacity_exact, heat_capacity_incomplete,
-                 internal_energy_hamiltonian, internal_energy_partition,
+from qbm import (SpectralConfig, discretize, exact_curves, exact_point,
+                 extended_bose_einstein, heat_capacity_exact,
+                 heat_capacity_incomplete, internal_energy_hamiltonian,
                  naive_curves, reduced_hamiltonian_at)
 from qbm.gibbs import ReducedHamiltonian
-from qbm.spectral import ModeList
+from qbm.spectral import OMEGA_S, ModeList
 
 CFG = SpectralConfig(gamma=0.5, cutoff=20.0)
+
+
+def _energy_z(omega_bar, temps):
+    """U_Z of a pairing-free H^R with eigenfrequency omega_bar."""
+    h = ReducedHamiltonian(omega=omega_bar, pairing=0.0)
+    return exact_curves(h, temps, omega_bar)[1]
 
 
 class TestInternalEnergy:
@@ -20,14 +28,12 @@ class TestInternalEnergy:
         assert internal_energy_hamiltonian(h, m) == pytest.approx(0.45, rel=1e-8)
 
     def test_hand_value(self):
-        assert internal_energy_partition(1.0, 10.0) == pytest.approx(
-            0.5 / np.tanh(0.05), rel=1e-12)
-        assert internal_energy_partition(1.0, 10.0) == pytest.approx(10.00833,
-                                                                     abs=5e-6)
+        (u_z,) = _energy_z(1.0, [10.0])
+        assert u_z == pytest.approx(0.5 / np.tanh(0.05), rel=1e-12)
+        assert u_z == pytest.approx(10.00833, abs=5e-6)
 
     def test_equipartition(self):
-        assert internal_energy_partition(1.0, 1000.0) == pytest.approx(
-            1000.0, rel=1e-3)
+        assert _energy_z(1.0, [1000.0])[0] == pytest.approx(1000.0, rel=1e-3)
 
     def test_derivative_mode_matches_closed_form(self):
         # U_Z = -d ln Z_S^r / d beta, with ln Z_S^r = ln[(1/2) csch(beta wbar/2)]
@@ -35,20 +41,21 @@ class TestInternalEnergy:
             x = beta * 0.9 / 2
             return -x - np.log1p(-np.exp(-2 * x))
 
-        for t in (0.3, 1.0, 7.0):
+        temps = (0.3, 1.0, 7.0)
+        for t, u_z in zip(temps, _energy_z(0.9, temps)):
             beta, step = 1 / t, 1e-5 / t
             deriv = -(ln_z(beta + step) - ln_z(beta - step)) / (2 * step)
-            assert deriv == pytest.approx(internal_energy_partition(0.9, t),
-                                          rel=1e-6)
+            assert deriv == pytest.approx(u_z, rel=1e-6)
 
     def test_two_definitions_agree(self):
         for gamma in (0.1, 0.5, 1.0, 2.0, 3.0):
             cfg = SpectralConfig(gamma, 20.0)
             h = reduced_hamiltonian_at(cfg, 1.0)
-            for t in (0.05, 0.2, 1.0, 5.0, 10.0):
+            temps = (0.05, 0.2, 1.0, 5.0, 10.0)
+            _, energies_z, _, _ = exact_curves(h, temps, h.eigenfrequency)
+            for t, u_z in zip(temps, energies_z):
                 m = extended_bose_einstein(h, t)
                 u_h = internal_energy_hamiltonian(h, m)
-                u_z = internal_energy_partition(h.eigenfrequency, t)
                 assert abs(u_h - u_z) / u_z < 1e-8
 
 
@@ -106,6 +113,36 @@ class TestIncompleteModes:
             if c_exact > 1e-6:
                 deviations.append(abs(c_drop - c_exact) / c_exact)
         assert max(deviations) > 0.05
+
+
+class TestExactCurves:
+    """The grid evaluation against the scalar path, point by point."""
+
+    TEMPS = (1e-3, 0.05, 1.0, 1e3)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("mode", ["drop-imaginary", "drop-pairing"])
+    def test_matches_scalar_path(self, gamma, mode):
+        cfg = SpectralConfig(gamma, 20.0)
+        h = reduced_hamiltonian_at(cfg, 5.0)
+        wbar = h.eigenfrequency
+        freq = wbar if mode == "drop-imaginary" else OMEGA_S
+        curves = exact_curves(h, self.TEMPS, freq)
+        for i, t in enumerate(self.TEMPS):
+            u_h, u_z, c, c_freq = (float(col[i]) for col in curves)
+            point = exact_point(cfg, t, h)
+            scalar_u_h = internal_energy_hamiltonian(h, extended_bose_einstein(h, t))
+            scalar_u_z = 0.5 * wbar / math.tanh(min(wbar / (2 * t), 350.0))
+            for got, want in ((u_h, scalar_u_h), (u_h, point.internal_energy),
+                              (u_z, scalar_u_z), (u_z, point.internal_energy),
+                              (c, heat_capacity_exact(wbar, t)),
+                              (c, point.heat_capacity),
+                              (c_freq, heat_capacity_incomplete(mode, h, t))):
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        # past x = w/2T = 350 the capacity is exactly zero on both paths
+        assert wbar / (2 * self.TEMPS[0]) > 350.0
+        assert curves[2][0] == curves[3][0] == heat_capacity_exact(wbar, 1e-3) == 0.0
+        assert curves[1][0] == 0.5 * wbar / math.tanh(350.0)
 
 
 class TestNaivePipeline:
