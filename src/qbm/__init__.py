@@ -25,6 +25,6 @@ from .gibbs import (BogoliubovFrame, ReducedHamiltonian, bogoliubov,
                     extended_bose_einstein, quasiparticle_occupation,
                     reduced_hamiltonian)
 from .thermo import (ThermoPoint, exact_curves, exact_point,
-                     heat_capacity_exact, heat_capacity_incomplete,
+                     heat_capacity_exact, incomplete_frequency,
                      internal_energy_hamiltonian, naive_curves,
                      reduced_hamiltonian_at)

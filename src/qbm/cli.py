@@ -21,10 +21,9 @@ from .continuum import solve_moments
 from .errors import ConfigError, QbmError
 from .finite import fock_oracle, oracle_moments, reduced_partition
 from .gibbs import quasiparticle_occupation, reduced_hamiltonian
-from .spectral import OMEGA_S, ModeList, SpectralConfig, discretize
+from .spectral import ModeList, SpectralConfig, discretize
 from .state import moments_to_kernel
-from .thermo import (exact_curves, exact_point, heat_capacity_exact,
-                     heat_capacity_incomplete, naive_curves,
+from .thermo import (exact_curves, incomplete_frequency, naive_curves,
                      reduced_hamiltonian_at)
 
 _FIGURE_GAMMAS = (0.1, 0.5, 1.0, 2.0, 3.0)
@@ -244,18 +243,19 @@ def _capacities_from_h_and_z(h, temps) -> list:
     temps = np.asarray(temps)
     du = 1e-5 * temps
     # one pass over T, T + du and T - du
-    _, u_z, c_h, _ = exact_curves(
+    _, u_z, c_h, _, _ = exact_curves(
         h, np.concatenate([temps, temps + du, temps - du]), h.eigenfrequency)
     n = len(temps)
     return [c_h[:n], (u_z[n:2 * n] - u_z[2 * n:]) / (2 * du)]
 
 
-def _capacities_at(frequency):
-    """values(h, temps) of a figure 4: C at frequency(h) beside C at omega_bar."""
+def _incomplete_figure(mode: str) -> tuple:
+    """Spec of a figure 4: C at the mode's frequency beside C at omega_bar."""
     def values(h, temps) -> list:
-        _, _, c_exact, c_incomplete = exact_curves(h, temps, frequency(h))
+        _, _, c_exact, c_incomplete, _ = exact_curves(
+            h, temps, incomplete_frequency(mode, h))
         return [c_incomplete, c_exact]
-    return values
+    return ["C_incomplete", "C_exact"], values, {"mode": mode}
 
 
 def _coupling_rows(cfg: RunConfig, gammas, temps, width: int, columns) -> list:
@@ -296,9 +296,11 @@ def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
         scfg = cfg.spectral(gamma)
         modes = discretize(scfg, cfg.k_c, cfg.omega_max)
         try:
-            h, h_err = reduced_hamiltonian_at(scfg, cfg.t_ref), ""
+            h = reduced_hamiltonian_at(scfg, cfg.t_ref)
+            c_exact, h_err = exact_curves(h, temps, h.eigenfrequency)[2].tolist(), ""
         except QbmError as exc:
-            h, h_err = None, f"{type(exc).__name__}: {exc}"
+            c_exact = [float("nan")] * len(temps)
+            h_err = f"{type(exc).__name__}: {exc}"
         try:
             c_naive = naive_curves(modes, [1.0 / t for t in temps],
                                    cfg.counterterm)[1]
@@ -306,10 +308,8 @@ def _figure_5(cfg: RunConfig, figure_id: str, spec: None) -> FigureDataset:
             rows += [[temp, gamma, float("nan"), float("nan"),
                       f"{type(exc).__name__}: {exc}"] for temp in temps]
             continue
-        for temp, c in zip(temps, c_naive):
-            c_exact = (heat_capacity_exact(h.eigenfrequency, temp)
-                       if h is not None else float("nan"))
-            rows.append([temp, gamma, c, c_exact, h_err])
+        rows += [[temp, gamma, c, c_h, h_err]
+                 for temp, c, c_h in zip(temps, c_naive, c_exact)]
     return FigureDataset(figure_id, ["T", "gamma", "C_naive", "C_exact", "error"],
                          rows, _meta(cfg, k_c=cfg.k_c, omega_max=cfg.omega_max,
                                      t_ref=cfg.t_ref))
@@ -328,13 +328,8 @@ _BUILDERS = {
     "3a": (_thermo_figure, (["U_from_H", "U_from_Z"], lambda h, temps:
                             exact_curves(h, temps, h.eigenfrequency)[:2], {})),
     "3b": (_thermo_figure, (["C_from_H", "C_from_Z"], _capacities_from_h_and_z, {})),
-    # the frequencies heat_capacity_incomplete takes for these two modes
-    "4a": (_thermo_figure, (["C_incomplete", "C_exact"],
-                            _capacities_at(lambda h: h.eigenfrequency),
-                            {"mode": "drop-imaginary"})),
-    "4b": (_thermo_figure, (["C_incomplete", "C_exact"],
-                            _capacities_at(lambda h: OMEGA_S),
-                            {"mode": "drop-pairing"})),
+    "4a": (_thermo_figure, _incomplete_figure("drop-imaginary")),
+    "4b": (_thermo_figure, _incomplete_figure("drop-pairing")),
     "5": (_figure_5, None),
 }
 FIGURE_IDS = tuple(_BUILDERS)
@@ -408,14 +403,12 @@ def _sweep_dataset(cfg: RunConfig, name: str, axis: str = "temperature",
                                   [1.0 / t for t in temps], cfg.counterterm)
             return [*curves, [float("nan")] * len(temps)]
     else:
-        def columns(scfg, temps):
+        def columns(scfg, temps):  # one extraction and one array pass
             h = reduced_hamiltonian_at(scfg, cfg.t_ref)
-            points = [exact_point(scfg, temp, h) for temp in temps]
-            capacities = ([p.heat_capacity for p in points] if pipeline == "exact"
-                          else [heat_capacity_incomplete(pipeline, h, temp)
-                                for temp in temps])
-            return [[p.internal_energy for p in points], capacities,
-                    [p.z_reduced for p in points]]
+            frequency = (h.eigenfrequency if pipeline == "exact"
+                         else incomplete_frequency(pipeline, h))
+            energy, _, _, capacity, z_reduced = exact_curves(h, temps, frequency)
+            return [energy, capacity, z_reduced]
         fixed["t_ref"] = cfg.t_ref
     rows = _coupling_rows(cfg, gammas, temps, 3, columns)
     return FigureDataset(name, ["T", "gamma", "U", "C", "Z_reduced", "error"],

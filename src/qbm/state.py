@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from .errors import NonNormalizable
 
-_MOMENTS_RTOL = 1e-10  # relative slack of Moments.validate
-
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -27,16 +25,6 @@ class Moments:
 
     occupation: float
     squeezing: float
-
-    def validate(self) -> "Moments":
-        n, s2 = self.occupation, self.squeezing**2
-        if n < -_MOMENTS_RTOL:
-            raise NonNormalizable(f"occupation {n} < 0")
-        bound = n * (n + 1)
-        if s2 > bound + _MOMENTS_RTOL * max(bound, 1.0):
-            raise NonNormalizable(
-                f"|s|^2 = {s2:.6e} exceeds n(n+1) = {bound:.6e}")
-        return self
 
 
 def moments_to_kernel(moments: Moments) -> GaussianKernel:

@@ -48,21 +48,18 @@ def heat_capacity_exact(omega_bar: float, temperature: float) -> float:
     return (x / math.sinh(x))**2
 
 
-def heat_capacity_incomplete(mode: str, h: ReducedHamiltonian,
-                             temperature: float) -> float:
-    """Heat capacity with parts of the pairing discarded.
+def incomplete_frequency(mode: str, h: ReducedHamiltonian) -> float:
+    """Frequency at which an "incomplete" mode evaluates the heat capacity.
 
     "drop-imaginary" replaces the eigenfrequency by
     sqrt(omega_r^2 - (Re Delta)^2), which for the real pairing is the
     eigenfrequency itself; "drop-pairing" by the bare omega_S.
     """
     if mode == "drop-imaginary":
-        freq = h.eigenfrequency
-    elif mode == "drop-pairing":
-        freq = OMEGA_S
-    else:
-        raise InvalidGrid(f"unknown incomplete mode {mode!r}")
-    return heat_capacity_exact(freq, temperature)
+        return h.eigenfrequency
+    if mode == "drop-pairing":
+        return OMEGA_S
+    raise InvalidGrid(f"unknown incomplete mode {mode!r}")
 
 
 def _mode_coth_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -72,10 +69,7 @@ def _mode_coth_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 def _csch2(x: np.ndarray) -> np.ndarray:
     """[x csch x]^2 elementwise, and exactly 0 past x = 350."""
-    mask = x <= 350.0
-    val = np.zeros_like(x)
-    val[mask] = (x[mask] / np.sinh(x[mask]))**2
-    return val
+    return np.where(x <= 350.0, (x / np.sinh(np.minimum(x, 350.0)))**2, 0.0)
 
 
 def _mode_csch2_sums(freqs: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -99,15 +93,16 @@ def naive_curves(modes: ModeList, betas,
 
 
 def exact_curves(h: ReducedHamiltonian, temperatures, frequency: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U_H, U_Z, C at omega_bar and C at ``frequency`` on a temperature grid.
+                 ) -> tuple[np.ndarray, ...]:
+    """U_H, U_Z, C at omega_bar, C at ``frequency`` and Z^R on a temperature grid.
 
     The grid form of the exact pipeline for one reduced Hamiltonian, with the
     formulas and cutoffs of the scalar functions: U_H from the extended
     Bose-Einstein moments, U_Z = (wbar/2) coth(wbar/2T) = -d ln Z_S^r/d beta,
-    and C = [x csch x]^2 with x = w/2T, exactly 0 past x = 350.  Each is one
-    numpy pass over the grid; when ``frequency`` is omega_bar the two
-    capacities are one array.
+    C = [x csch x]^2 with x = w/2T, exactly 0 past x = 350, and
+    Z^R = 1/(2 sinh(wbar/2T)), exactly 0 from x = 350 on.  Each is one numpy
+    pass over the grid; when ``frequency`` is omega_bar the two capacities
+    are one array.
     """
     temps = np.asarray(temperatures, dtype=float)
     wbar = h.eigenfrequency
@@ -118,9 +113,11 @@ def exact_curves(h: ReducedHamiltonian, temperatures, frequency: float
     double_t = 2 * temps
     x = wbar / double_t
     energy_z = 0.5 * wbar / np.tanh(np.minimum(x, 350.0))
-    capacity = _csch2(x)
+    sinh = np.sinh(np.minimum(x, 350.0))
+    capacity = np.where(x <= 350.0, (x / sinh)**2, 0.0)
+    z_reduced = np.where(x < 350.0, 0.5 / sinh, 0.0)
     return (energy_h, energy_z, capacity, capacity if frequency == wbar
-            else _csch2(frequency / double_t))
+            else _csch2(frequency / double_t), z_reduced)
 
 
 def reduced_hamiltonian_at(cfg: SpectralConfig,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qbm import (ConfigError, QbmError, SpectralConfig, cli, discretize,
-                 exact_point, heat_capacity_exact, heat_capacity_incomplete,
+                 exact_point, heat_capacity_exact, incomplete_frequency,
                  naive_curves, reduced_hamiltonian_at, solve_moments)
 from qbm.cli import (FIGURE_IDS, RunConfig, main, oracle_compare, parse_config,
                      render_csv, render_json, run_figure)
@@ -174,7 +174,8 @@ class TestFigures:
         for temp, gamma, c_incomplete, c_exact, error in ds.rows:
             h = reduced_hamiltonian_at(small_cfg.spectral(gamma), small_cfg.t_ref)
             assert error == "" and c_incomplete == pytest.approx(
-                heat_capacity_incomplete(mode, h, temp), rel=1e-14, abs=0.0)
+                heat_capacity_exact(incomplete_frequency(mode, h), temp),
+                rel=1e-14, abs=0.0)
             assert c_exact == pytest.approx(
                 heat_capacity_exact(h.eigenfrequency, temp), rel=1e-14, abs=0.0)
 
@@ -581,7 +582,7 @@ class TestSweepDataset:
 
     @pytest.mark.parametrize("axis", ["temperature", "coupling"])
     @pytest.mark.parametrize("name,pipeline", [
-        ("exact_point", "exact"), ("reduced_hamiltonian_at", "drop-pairing"),
+        ("exact_curves", "exact"), ("reduced_hamiltonian_at", "drop-pairing"),
         ("naive_curves", "naive")])
     def test_programming_errors_propagate(self, monkeypatch, axis, name, pipeline):
         # only QbmError becomes a row flag; anything else is a bug and raises
@@ -612,11 +613,24 @@ class TestSweepDataset:
                counterterm=counterterm)
         assert calls == [0.1, 0.5, 1.0]
 
+    def test_rows_equal_the_figure_rows(self):
+        # one array pass per coupling: the sweep's U and C are the figures' cells
+        grid = {"gammas": "0.5", "temperatures": "geom:0.05:3:12"}
+        exact = _sweep(**grid).rows
+        dropped = _sweep(pipeline="drop-pairing", **grid).rows
+        cfg = parse_config(overrides={"timestamp": False, **grid})
+        fig_3a, fig_3b, fig_4b = (run_figure(f, cfg).rows for f in ("3a", "3b", "4b"))
+        assert len(exact) == len(fig_3a) == 12
+        for e, d, r3a, r3b, r4b in zip(exact, dropped, fig_3a, fig_3b, fig_4b):
+            assert e[:2] == d[:2] == r3a[:2] == r3b[:2] == r4b[:2]
+            assert (e[2], e[3], d[3]) == (r3a[2], r3b[2], r4b[2])
+
     @pytest.mark.parametrize("pipeline", ["drop-imaginary", "drop-pairing"])
     def test_incomplete_pipelines_change_only_the_capacity(self, pipeline):
         exact = _sweep(temperatures="0.2,1,3").rows
         dropped = _sweep(pipeline=pipeline, temperatures="0.2,1,3").rows
         h = reduced_hamiltonian_at(SpectralConfig(0.5, 20.0), 5.0)
+        freq = incomplete_frequency(pipeline, h)
         for e, d in zip(exact, dropped):
-            assert d[3] == heat_capacity_incomplete(pipeline, h, d[0])
+            assert d[3] == heat_capacity_exact(freq, d[0])
             assert d[:3] + d[4:] == e[:3] + e[4:] and d[-1] == ""

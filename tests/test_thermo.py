@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qbm import (SpectralConfig, discretize, exact_curves, exact_point,
-                 extended_bose_einstein, heat_capacity_exact,
-                 heat_capacity_incomplete, internal_energy_hamiltonian,
+from qbm import (InvalidGrid, SpectralConfig, discretize, exact_curves,
+                 exact_point, extended_bose_einstein, heat_capacity_exact,
+                 incomplete_frequency, internal_energy_hamiltonian,
                  naive_curves, reduced_hamiltonian_at)
 from qbm.gibbs import ReducedHamiltonian
 from qbm.spectral import OMEGA_S, ModeList
@@ -52,7 +52,7 @@ class TestInternalEnergy:
             cfg = SpectralConfig(gamma, 20.0)
             h = reduced_hamiltonian_at(cfg, 1.0)
             temps = (0.05, 0.2, 1.0, 5.0, 10.0)
-            _, energies_z, _, _ = exact_curves(h, temps, h.eigenfrequency)
+            _, energies_z, _, _, _ = exact_curves(h, temps, h.eigenfrequency)
             for t, u_z in zip(temps, energies_z):
                 m = extended_bose_einstein(h, t)
                 u_h = internal_energy_hamiltonian(h, m)
@@ -84,14 +84,21 @@ class TestHeatCapacity:
 class TestIncompleteModes:
     def test_real_pairing_drop_imaginary_equals_exact(self):
         h = ReducedHamiltonian(omega=1.0, pairing=0.4)
+        freq = incomplete_frequency("drop-imaginary", h)
         for t in (0.1, 1.0, 5.0):
-            assert heat_capacity_incomplete("drop-imaginary", h, t) == \
-                pytest.approx(heat_capacity_exact(h.eigenfrequency, t), rel=1e-12)
+            assert heat_capacity_exact(freq, t) == pytest.approx(
+                heat_capacity_exact(h.eigenfrequency, t), rel=1e-12)
 
     def test_drop_pairing_uses_bare_frequency(self):
         h = ReducedHamiltonian(omega=0.8, pairing=0.3)
-        assert heat_capacity_incomplete("drop-pairing", h, 2.0) == \
-            pytest.approx(heat_capacity_exact(1.0, 2.0), rel=1e-12)
+        freq = incomplete_frequency("drop-pairing", h)
+        assert heat_capacity_exact(freq, 2.0) == pytest.approx(
+            heat_capacity_exact(1.0, 2.0), rel=1e-12)
+
+    def test_unknown_mode_raises(self):
+        h = ReducedHamiltonian(omega=0.8, pairing=0.3)
+        with pytest.raises(InvalidGrid, match="unknown incomplete mode 'exact'"):
+            incomplete_frequency("exact", h)
 
     def test_weak_coupling_collapse(self):
         # both incomplete modes track the exact curve at gamma = 0.1 (absolute
@@ -101,15 +108,16 @@ class TestIncompleteModes:
         for t in np.geomspace(0.05, 3.0, 30):
             c_exact = heat_capacity_exact(h.eigenfrequency, t)
             for mode in ("drop-imaginary", "drop-pairing"):
-                c_mode = heat_capacity_incomplete(mode, h, t)
+                c_mode = heat_capacity_exact(incomplete_frequency(mode, h), t)
                 assert abs(c_mode - c_exact) <= 0.01 * max(c_exact, 0.1)
 
     def test_strong_coupling_separation(self):
         h = reduced_hamiltonian_at(SpectralConfig(3.0, 20.0), 5.0)
+        freq = incomplete_frequency("drop-pairing", h)
         deviations = []
         for t in np.geomspace(0.05, 0.5, 20):
             c_exact = heat_capacity_exact(h.eigenfrequency, t)
-            c_drop = heat_capacity_incomplete("drop-pairing", h, t)
+            c_drop = heat_capacity_exact(freq, t)
             if c_exact > 1e-6:
                 deviations.append(abs(c_drop - c_exact) / c_exact)
         assert max(deviations) > 0.05
@@ -129,7 +137,7 @@ class TestExactCurves:
         freq = wbar if mode == "drop-imaginary" else OMEGA_S
         curves = exact_curves(h, self.TEMPS, freq)
         for i, t in enumerate(self.TEMPS):
-            u_h, u_z, c, c_freq = (float(col[i]) for col in curves)
+            u_h, u_z, c, c_freq, z = (float(col[i]) for col in curves)
             point = exact_point(cfg, t, h)
             scalar_u_h = internal_energy_hamiltonian(h, extended_bose_einstein(h, t))
             scalar_u_z = 0.5 * wbar / math.tanh(min(wbar / (2 * t), 350.0))
@@ -137,11 +145,14 @@ class TestExactCurves:
                               (u_z, scalar_u_z), (u_z, point.internal_energy),
                               (c, heat_capacity_exact(wbar, t)),
                               (c, point.heat_capacity),
-                              (c_freq, heat_capacity_incomplete(mode, h, t))):
+                              (c_freq, heat_capacity_exact(
+                                  incomplete_frequency(mode, h), t)),
+                              (z, point.z_reduced)):
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-        # past x = w/2T = 350 the capacity is exactly zero on both paths
+        # past x = w/2T = 350 the capacity and Z^R are exactly zero on both paths
         assert wbar / (2 * self.TEMPS[0]) > 350.0
         assert curves[2][0] == curves[3][0] == heat_capacity_exact(wbar, 1e-3) == 0.0
+        assert curves[4][0] == exact_point(cfg, 1e-3, h).z_reduced == 0.0
         assert curves[1][0] == 0.5 * wbar / math.tanh(350.0)
 
 
